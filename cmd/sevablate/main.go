@@ -25,39 +25,19 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "gsm", "benchmark name")
-	srcFile := flag.String("src", "", "MiniC source file")
-	size := flag.Int("size", 0, "benchmark scale (0 = default)")
-	levelFlag := flag.String("O", "O2", "baseline optimization level O0..O3")
-	marchFlag := flag.String("march", "a72", "microarchitecture: a15 or a72")
+	sf := cli.NewStudyFlags()
+	sf.March, sf.Bench, sf.Faults = "a72", "gsm", 200
+	sf.Register(flag.CommandLine, "bench", "src", "size", "O", "march", "faults", "seed",
+		"parallel", "checkpoints", "cache", "cache-max-mb")
 	targetFlag := flag.String("target", "", "also measure this structure's AVF (e.g. RF)")
-	faults := flag.Int("faults", 200, "faults per AVF measurement")
-	seed := flag.Int64("seed", 2021, "sampling seed")
-	par := flag.Int("parallel", 0, "concurrent measurements (0 = GOMAXPROCS)")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoints per row for injection fast-forward (0 disables); results are identical at any setting")
-	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat sweeps skip golden simulations (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
 
-	cfg, err := cli.March(*marchFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	level, err := cli.Level(*levelFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	name, src, err := cli.LoadSource(*bench, *srcFile, *size)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cfg := sf.Machine()
+	level := sf.OptLevel()
+	name, src := sf.Source()
 	tgt := cli.Target(cfg)
 	base := compiler.LevelPasses(level, tgt)
-	cache, err := cli.Cache(*cacheDir, *cacheMax)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cache := sf.OpenCache()
 
 	var avfTarget *faultinj.Target
 	if *targetFlag != "" {
@@ -93,7 +73,7 @@ func main() {
 	// gated by a semaphore sized to the worker count, and the AVF
 	// campaigns of every row share one worker pool. Output stays in row
 	// order.
-	workers := cli.Parallelism(*par)
+	workers := sf.Workers()
 	pool := campaign.NewPool(workers)
 	defer pool.Close()
 	sem := make(chan struct{}, workers)
@@ -121,31 +101,31 @@ func main() {
 				<-sem
 				return
 			}
-			res := machine.New(cfg, prog).Run(1 << 34)
-			if res.Outcome != machine.OutcomeOK {
-				out[i].err = fmt.Errorf("%s: %v %s", r.label, res.Outcome, res.Reason)
-				<-sem
-				return
-			}
-			out[i].cycles = res.Cycles
 			out[i].code = len(prog.Code)
 			if avfTarget == nil {
+				res := machine.New(cfg, prog).Run(1 << 34)
 				<-sem
+				if res.Outcome != machine.OutcomeOK {
+					out[i].err = fmt.Errorf("%s: %v %s", r.label, res.Outcome, res.Reason)
+				}
+				out[i].cycles = res.Cycles
 				return
 			}
+			// The experiment's golden run supplies the row's cycles, so a
+			// row with an AVF target simulates its golden run only there.
 			exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{
-				Checkpoints: cli.Checkpoints(*ckpts),
-				NoFastExit:  !*fastExit,
+				Checkpoints: sf.CheckpointBudget(),
 			})
 			// The campaign runs on the shared pool; this goroutine only
 			// waits, so its semaphore slot is released first.
 			<-sem
 			if err != nil {
-				out[i].err = err
+				out[i].err = fmt.Errorf("%s: %w", r.label, err)
 				return
 			}
+			out[i].cycles = exp.GoldenCycles
 			cr := campaign.Run(exp, *avfTarget, campaign.Options{
-				Faults: *faults, Seed: *seed, Pool: pool, Context: ctx,
+				Faults: sf.Faults, Seed: sf.Seed, Pool: pool, Context: ctx,
 			})
 			out[i].avf = cr.AVF()
 			out[i].skip = cr.Skipped

@@ -13,7 +13,8 @@ import (
 
 // TestStaticBoundsMatchGolden is the regression gate on the static
 // analysis itself: the quick-scale bounds for every (bench, level) cell
-// on both microarchitectures must match the checked-in golden files
+// on both microarchitectures — the Static records a zero-fault pruned
+// core.Spec study computes — must match the checked-in golden files
 // byte for byte. A transfer-function change that loosens precision
 // (bounds drop) or unsoundly tightens it (bounds rise without a
 // corresponding cross-validation run) shows up as a diff here before
@@ -33,13 +34,11 @@ func TestStaticBoundsMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			units := analyzeSuite(cfg, workloads.All(), compiler.Levels, suiteOptions{
+			units, err := analyzeSuite(cfg, workloads.All(), compiler.Levels, suiteOptions{
 				Quick: true, Bounds: true, Parallel: runtime.GOMAXPROCS(0),
 			})
-			for _, u := range units {
-				if u.err != nil {
-					t.Fatalf("%s %s: %v", u.bench.Name, u.level, u.err)
-				}
+			if err != nil {
+				t.Fatal(err)
 			}
 			got := boundsText(cfg.Name, units)
 			golden := filepath.Join("testdata", "bounds_"+march+".golden")

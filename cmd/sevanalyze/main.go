@@ -1,10 +1,11 @@
 // Command sevanalyze runs the binary-level ACE/liveness analyzer over
 // study binaries: it reconstructs each binary's control-flow graph,
 // computes per-instruction register liveness and value lifetimes,
-// checks binary invariants, and (with -bounds) runs the fault-free
-// simulation to derive the static lower bound on the Masked rate /
-// upper bound on the AVF of the physical register file — the numbers a
-// -prune injection campaign realizes without simulating.
+// checks binary invariants, and (with -bounds) runs a zero-fault pruned
+// study to derive the static lower bound on the Masked rate / upper
+// bound on the AVF of the physical register file — the numbers a -prune
+// injection campaign realizes without simulating, exactly as its
+// study.json records them.
 //
 // Usage:
 //
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/binanalysis"
@@ -39,49 +39,43 @@ import (
 )
 
 func main() {
-	marchFlag := flag.String("march", "a15", "microarchitecture: a15 or a72")
-	benchFlag := flag.String("bench", "", "benchmark name (default: all)")
-	levelFlag := flag.String("O", "", "optimization level O0..O3 (default: all)")
-	size := flag.Int("size", 0, "benchmark scale (0 = default)")
+	// An empty -bench or -O selects every benchmark or level.
+	sf := cli.NewStudyFlags()
+	sf.Level = ""
+	sf.Register(flag.CommandLine, "march", "bench", "O", "size", "parallel", "cache", "cache-max-mb")
 	quick := flag.Bool("quick", false, "use each benchmark's reduced test scale (fast golden runs, e.g. for -golden in CI)")
 	bounds := flag.Bool("bounds", true, "run golden simulations and report static Masked/AVF bounds")
 	dump := flag.String("dump", "", "detail dump for a single -bench/-O binary: cfg, live, bits, lifetimes")
 	goldenPath := flag.String("golden", "", "compare the static bounds against this golden file and fail on drift")
 	update := flag.Bool("update", false, "rewrite the -golden file with the current bounds instead of comparing")
-	par := flag.Int("parallel", 0, "concurrent golden runs (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip golden simulations (bounds are identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
 
-	cfg, err := cli.March(*marchFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cfg := sf.Machine()
 
 	var benches []workloads.Benchmark
-	if *benchFlag == "" {
+	if sf.Bench == "" {
 		benches = workloads.All()
 	} else {
-		b, err := workloads.ByName(*benchFlag)
+		b, err := workloads.ByName(sf.Bench)
 		if err != nil {
 			cli.Fatal(err)
 		}
 		benches = []workloads.Benchmark{b}
 	}
 	levels := compiler.Levels
-	if *levelFlag != "" {
-		l, err := cli.Level(*levelFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		levels = []compiler.OptLevel{l}
+	if sf.Level != "" {
+		levels = []compiler.OptLevel{sf.OptLevel()}
 	}
+	opts := suiteOptions{Size: sf.Size, Quick: *quick, Bounds: *bounds, Parallel: sf.Workers()}
 
 	if *dump != "" {
 		if len(benches) != 1 || len(levels) != 1 {
 			cli.Fatal(fmt.Errorf("-dump needs a single binary: give both -bench and -O"))
 		}
-		prog, a := analyzeOne(cfg, benches[0], levels[0], *size)
+		prog, a, err := analyzeUnit(cfg, benches[0], levels[0], opts.size(benches[0]))
+		if err != nil {
+			cli.Fatal(err)
+		}
 		switch *dump {
 		case "cfg":
 			dumpCFG(prog.Name, a)
@@ -97,27 +91,18 @@ func main() {
 		return
 	}
 
-	cache, err := cli.Cache(*cacheDir, *cacheMax)
+	opts.Cache = sf.OpenCache()
+	units, err := analyzeSuite(cfg, benches, levels, opts)
 	if err != nil {
 		cli.Fatal(err)
 	}
-	units := analyzeSuite(cfg, benches, levels, suiteOptions{
-		Size: *size, Quick: *quick, Bounds: *bounds, Parallel: cli.Parallelism(*par),
-		Cache: cache,
-	})
 
 	headers := []string{"benchmark", "level", "words", "blocks", "funcs", "dead-writes", "invariants"}
 	if *bounds {
 		headers = append(headers, "cycles", "reg Masked>=", "bit Masked>=", "DUE>=", "SDC<=", "static AVF<=")
 	}
 	rows := [][]string{}
-	failed := false
 	for _, u := range units {
-		if u.err != nil {
-			failed = true
-			fmt.Fprintf(os.Stderr, "error: %s %s: %v\n", u.bench.Name, u.level, u.err)
-			continue
-		}
 		inv := "ok"
 		if len(u.violations) > 0 {
 			inv = fmt.Sprintf("%d violations", len(u.violations))
@@ -139,9 +124,6 @@ func main() {
 		for _, v := range u.violations {
 			fmt.Printf("%s %s: %s\n", u.bench.Name, u.level, v)
 		}
-	}
-	if failed {
-		os.Exit(1) //lint:exit process boundary: non-zero verdict when invariant checks fail
 	}
 
 	if *goldenPath != "" {
@@ -179,9 +161,8 @@ type unit struct {
 	funcs      int
 	deadWrites int
 	violations []binanalysis.Violation
-	bound      binanalysis.RFBound
+	bound      core.StaticRF
 	cycles     uint64
-	err        error
 }
 
 type suiteOptions struct {
@@ -192,68 +173,63 @@ type suiteOptions struct {
 	Cache    *artcache.Cache // nil: golden runs are not memoized
 }
 
-// analyzeSuite compiles and analyzes every (bench, level) pair with
-// bounded fan-out: compiles are cheap but each Bounds unit runs a full
-// golden simulation.
-func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []compiler.OptLevel, opts suiteOptions) []*unit {
+// size is the benchmark scale a suite analyzes: an explicit Size, else
+// TestSize under Quick, else the benchmark's default.
+func (o suiteOptions) size(b workloads.Benchmark) int {
+	switch {
+	case o.Size > 0:
+		return o.Size
+	case o.Quick:
+		return b.TestSize
+	}
+	return b.DefaultSize
+}
+
+// analyzeSuite compiles and analyzes every (bench, level) pair. With
+// Bounds it takes each unit's golden cycles and static RF bound from a
+// zero-fault pruned study, so they are exactly the Goldens and Static
+// records a -prune study.json holds.
+func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []compiler.OptLevel, opts suiteOptions) ([]*unit, error) {
 	var units []*unit
 	for _, b := range benches {
 		for _, l := range levels {
-			units = append(units, &unit{bench: b, level: l})
-		}
-	}
-	sem := make(chan struct{}, opts.Parallel)
-	var wg sync.WaitGroup
-	for _, u := range units {
-		wg.Add(1)
-		go func(u *unit) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sz := u.bench.DefaultSize
-			if opts.Quick {
-				sz = u.bench.TestSize
-			}
-			if opts.Size > 0 {
-				sz = opts.Size
-			}
-			prog, err := compiler.Compile(u.bench.Source(sz), u.bench.Name, u.level, cli.Target(cfg))
+			prog, a, err := analyzeUnit(cfg, b, l, opts.size(b))
 			if err != nil {
-				u.err = err
-				return
+				return nil, fmt.Errorf("%s %s: %w", b.Name, l, err)
 			}
-			a, err := binanalysis.AnalyzeWords(prog.Code)
-			if err != nil {
-				u.err = err
-				return
-			}
-			u.words = len(prog.Code)
-			u.blocks = len(a.CFG.Blocks)
-			u.funcs = len(a.CFG.FuncEntries)
+			u := &unit{bench: b, level: l, words: len(prog.Code),
+				blocks: len(a.CFG.Blocks), funcs: len(a.CFG.FuncEntries)}
+			units = append(units, u)
 			for _, lt := range a.Lifetimes {
 				if lt.Uses == 0 {
 					u.deadWrites++
 				}
 			}
 			u.violations = binanalysis.CheckInvariants(a)
-			if opts.Bounds {
-				exp, err := core.CachedExperiment(opts.Cache, cfg, prog, faultinj.Options{Traced: true})
-				if err != nil {
-					u.err = err
-					return
-				}
-				pr, err := binanalysis.NewDUEPruner(a, exp)
-				if err != nil {
-					u.err = err
-					return
-				}
-				u.bound = pr.Bound()
-				u.cycles = exp.GoldenCycles
-			}
-		}(u)
+		}
 	}
-	wg.Wait()
-	return units
+	if !opts.Bounds {
+		return units, nil
+	}
+	rf, _ := faultinj.TargetByName("RF")
+	st, err := core.Spec{
+		Machines:    []machine.Config{cfg},
+		Benchmarks:  benches,
+		Levels:      levels,
+		Targets:     []faultinj.Target{rf},
+		Size:        opts.size,
+		Prune:       true,
+		Parallelism: opts.Parallel,
+		Cache:       opts.Cache,
+	}.Run()
+	if err != nil {
+		return nil, err
+	}
+	for i, u := range units {
+		u.cycles = st.Goldens[i].Cycles
+		u.bound = st.Static[i]
+	}
+	return units, nil
 }
 
 // boundsText renders the static bounds in the canonical golden-file
@@ -264,9 +240,6 @@ func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []co
 func boundsText(march string, units []*unit) string {
 	var b strings.Builder
 	for _, u := range units {
-		if u.err != nil {
-			continue
-		}
 		fmt.Fprintf(&b, "%s %s %s cycles=%d reg_masked_lb=%.9f bit_masked_lb=%.9f due_lb=%.9f sdc_ub=%.9f reg_prunable=%d bit_prunable=%d due_prunable=%d space=%d\n",
 			march, u.bench.Name, u.level,
 			u.cycles, u.bound.RegMaskedLB, u.bound.MaskedLB,
@@ -306,19 +279,15 @@ func diffLines(want, got string) string {
 	return b.String()
 }
 
-func analyzeOne(cfg machine.Config, b workloads.Benchmark, l compiler.OptLevel, size int) (*machine.Program, *binanalysis.Analysis) {
-	if size <= 0 {
-		size = b.DefaultSize
-	}
+// analyzeUnit compiles one benchmark at one level and analyzes the
+// binary.
+func analyzeUnit(cfg machine.Config, b workloads.Benchmark, l compiler.OptLevel, size int) (*machine.Program, *binanalysis.Analysis, error) {
 	prog, err := compiler.Compile(b.Source(size), b.Name, l, cli.Target(cfg))
 	if err != nil {
-		cli.Fatal(err)
+		return nil, nil, err
 	}
 	a, err := binanalysis.AnalyzeWords(prog.Code)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	return prog, a
+	return prog, a, err
 }
 
 func dumpCFG(name string, a *binanalysis.Analysis) {

@@ -20,23 +20,14 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "benchmark name (qsort, dijkstra, fft, sha, blowfish, gsm, patricia, rijndael)")
-	srcFile := flag.String("src", "", "MiniC source file")
-	size := flag.Int("size", 0, "benchmark scale (0 = default)")
-	levelFlag := flag.String("O", "O2", "optimization level O0..O3")
-	marchFlag := flag.String("march", "a15", "microarchitecture: a15 or a72")
+	sf := cli.NewStudyFlags()
+	sf.Register(flag.CommandLine, "bench", "src", "size", "O", "march")
 	dumpIR := flag.Bool("ir", false, "dump optimized IR instead of machine code")
 	sizes := flag.Bool("sizes", false, "print code size at every optimization level")
 	flag.Parse()
 
-	cfg, err := cli.March(*marchFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	name, src, err := cli.LoadSource(*bench, *srcFile, *size)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cfg := sf.Machine()
+	name, src := sf.Source()
 	tgt := cli.Target(cfg)
 
 	if *sizes {
@@ -51,10 +42,7 @@ func main() {
 		return
 	}
 
-	level, err := cli.Level(*levelFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	level := sf.OptLevel()
 
 	if *dumpIR {
 		mod, err := compiler.Lower(cli.MustParse(src), tgt.WordSize())

@@ -25,54 +25,31 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "benchmark name")
-	srcFile := flag.String("src", "", "MiniC source file")
-	size := flag.Int("size", 0, "benchmark scale (0 = default)")
-	levelFlag := flag.String("O", "O2", "optimization level O0..O3")
-	marchFlag := flag.String("march", "a15", "microarchitecture: a15 or a72")
+	sf := cli.NewStudyFlags()
+	sf.Register(flag.CommandLine, "bench", "src", "size", "O", "march", "faults", "seed",
+		"parallel", "prune", "checkpoints", "cache", "cache-max-mb")
 	targetFlag := flag.String("target", "RF", "structure field (e.g. RF, L1D.data, ROB.pc)")
 	all := flag.Bool("all", false, "inject into every structure field")
-	faults := flag.Int("faults", 2000, "faults per campaign (paper: 2000)")
-	seed := flag.Int64("seed", 2021, "sampling seed")
-	par := flag.Int("parallel", 0, "concurrent injections (0 = GOMAXPROCS)")
 	modelFlag := flag.String("model", "single", "fault model: single, double, quad (multi-bit upsets)")
-	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoints for injection fast-forward (0 disables); results are identical at any setting")
-	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip the golden simulation (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
 
-	cfg, err := cli.March(*marchFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	level, err := cli.Level(*levelFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	name, src, err := cli.LoadSource(*bench, *srcFile, *size)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cfg := sf.Machine()
+	level := sf.OptLevel()
+	name, src := sf.Source()
 	prog, err := compiler.Compile(src, name, level, cli.Target(cfg))
 	if err != nil {
 		cli.Fatal(err)
 	}
-	cache, err := cli.Cache(*cacheDir, *cacheMax)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cache := sf.OpenCache()
 	exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{
-		Traced:      *prune,
-		Checkpoints: cli.Checkpoints(*ckpts),
-		NoFastExit:  !*fastExit,
+		Traced:      sf.Prune,
+		Checkpoints: sf.CheckpointBudget(),
 	})
 	if err != nil {
 		cli.Fatal(err)
 	}
 	var pruner faultinj.Pruner
-	if *prune {
+	if sf.Prune {
 		a, err := binanalysis.AnalyzeWords(prog.Code)
 		if err != nil {
 			cli.Fatal(err)
@@ -113,7 +90,7 @@ func main() {
 	// One shared worker pool serves every target's campaign, so the
 	// machine stays saturated across target boundaries. Ctrl-C drains
 	// in-flight injections and reports the partial campaign.
-	pool := campaign.NewPool(cli.Parallelism(*par))
+	pool := campaign.NewPool(sf.Workers())
 	defer pool.Close()
 	ctx, stop := cli.Interruptible()
 	defer stop()
@@ -123,13 +100,13 @@ func main() {
 		"target", "bits", "faults", "AVF", "SDC", "Crash", "Timeout", "Assert")
 	for _, t := range targets {
 		r := campaign.Run(exp, t, campaign.Options{
-			Faults: *faults, Seed: *seed, Pool: pool, Model: model, Pruner: pruner,
+			Faults: sf.Faults, Seed: sf.Seed, Pool: pool, Model: model, Pruner: pruner,
 			Context: ctx,
 		})
 		if r.Interrupted {
 			interrupted = true
 			fmt.Printf("%-10s %8d  interrupted after %d/%d injections\n",
-				t.Name(), r.StructBits, r.Faults, *faults)
+				t.Name(), r.StructBits, r.Faults, sf.Faults)
 			continue
 		}
 		if r.Skipped != "" {
@@ -152,7 +129,7 @@ func main() {
 		}
 	}
 	cli.CacheSummary(cache)
-	margin := stats.ErrorMargin(*faults, 1<<40, 0.99)
+	margin := stats.ErrorMargin(sf.Faults, 1<<40, 0.99)
 	fmt.Printf("\nsampling error margin: ±%.2f%% at 99%% confidence\n", margin*100)
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "interrupted: partial campaigns above cover only the completed injections")

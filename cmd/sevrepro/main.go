@@ -29,28 +29,22 @@ import (
 
 	"sevsim/internal/cli"
 	"sevsim/internal/core"
-	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/report"
 	"sevsim/internal/workloads"
 )
 
 func main() {
-	faults := flag.Int("faults", 150, "faults per campaign cell (paper: 2000)")
-	seed := flag.Int64("seed", 2021, "master sampling seed")
+	sf := cli.NewStudyFlags()
+	sf.Faults = 150
+	sf.Register(flag.CommandLine, "faults", "seed", "parallel", "prune", "checkpoints", "cache", "cache-max-mb")
 	outDir := flag.String("out", "results", "output directory")
 	scale := flag.Float64("scale", 1.0, "benchmark size multiplier")
 	load := flag.String("load", "", "re-render figures from a saved study.json instead of running")
-	par := flag.Int("parallel", 0, "study-wide worker pool size (0 = GOMAXPROCS); results are identical at any setting")
-	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
 	jpath := flag.String("journal", "", "durable journal path for kill-and-resume (default <out>/journal.jsonl; \"off\" disables)")
 	keepGoing := flag.Bool("keep-going", false, "quarantine failed units/cells into the study instead of aborting on the first error")
 	retries := flag.Int("retries", 0, "extra preparation attempts per unit before quarantining (with -keep-going)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog (0 = off); stuck cells are recorded and skipped")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoints per cell for injection fast-forward (0 disables); results are identical at any setting")
-	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip compiles and golden simulations (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -60,12 +54,12 @@ func main() {
 	// study files inside it are: a crash that loses the dentry loses
 	// everything written under it, fsynced or not.
 	if err := journal.MkdirAllSync(*outDir, 0o755); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer stopProfiles()
 
@@ -74,22 +68,18 @@ func main() {
 		var err error
 		st, err = core.Load(*load)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	} else {
-		spec := core.DefaultSpec(*faults)
-		spec.Seed = *seed
-		spec.Parallelism = cli.Parallelism(*par)
-		spec.Prune = *prune
+		spec := core.DefaultSpec(sf.Faults)
+		spec.Seed = sf.Seed
+		spec.Parallelism = sf.Workers()
+		spec.Prune = sf.Prune
 		spec.KeepGoing = *keepGoing
 		spec.Retries = *retries
 		spec.CellTimeout = *cellTimeout
-		spec.Checkpoints = cli.Checkpoints(*ckpts)
-		spec.NoFastExit = !*fastExit
-		spec.Cache, err = cli.Cache(*cacheDir, *cacheMax)
-		if err != nil {
-			fatal(err)
-		}
+		spec.Checkpoints = sf.CheckpointBudget()
+		spec.Cache = sf.OpenCache()
 		switch *jpath {
 		case "off":
 		case "":
@@ -120,13 +110,13 @@ func main() {
 				stopProfiles()
 				os.Exit(cli.ExitInterrupted) //lint:exit process boundary: interrupted-study exit after the journal is flushed
 			}
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("\nstudy complete: %d campaign cells, %d injections, %s\n",
-			len(st.Results), len(st.Results)*(*faults),
+			len(st.Results), len(st.Results)*sf.Faults,
 			time.Since(start).Round(time.Second)) //lint:clock progress display only; elapsed time never reaches study.json
 		if err := st.Save(filepath.Join(*outDir, "study.json")); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		// The study is durably saved; the journal has served its purpose.
 		if spec.Journal != "" {
@@ -143,7 +133,7 @@ func main() {
 			// for sweep dashboards.
 			cc, err := os.Create(filepath.Join(*outDir, "cache.csv"))
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			cs := spec.Cache.Stats()
 			report.CSV(cc,
@@ -151,7 +141,7 @@ func main() {
 				[][]string{{fmt.Sprint(cs.Hits), fmt.Sprint(cs.Misses), fmt.Sprint(cs.Puts),
 					fmt.Sprint(cs.Evictions), fmt.Sprint(cs.Corrupt)}})
 			if err := cc.Close(); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 		}
 	}
@@ -160,18 +150,18 @@ func main() {
 	figPath := filepath.Join(*outDir, "figures.txt")
 	f, err := os.Create(figPath)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	report.Everything(f, st)
 	if err := f.Close(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	// Raw campaign data as CSV for downstream plotting.
 	csvPath := filepath.Join(*outDir, "campaigns.csv")
 	c, err := os.Create(csvPath)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	headers := []string{"march", "bench", "level", "target", "faults",
 		"masked", "sdc", "crash", "timeout", "assert",
@@ -190,12 +180,12 @@ func main() {
 	}
 	report.CSV(c, headers, rows)
 	if err := c.Close(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	// Pruner hit rates: how much simulation the static analyses saved,
 	// split by the granularity/class that proved each injection.
-	if *prune {
+	if sf.Prune {
 		var total, pruned, preg, pbit, pdue int
 		for _, r := range st.Results {
 			if r.Target != "RF" {
@@ -227,9 +217,4 @@ func main() {
 		stopProfiles()
 		os.Exit(1) //lint:exit process boundary: non-zero verdict for unexpected simulator panics
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1) //lint:exit process boundary: the CLI's fatal-error helper
 }

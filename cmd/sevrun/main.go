@@ -22,24 +22,15 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "benchmark name")
-	srcFile := flag.String("src", "", "MiniC source file")
+	sf := cli.NewStudyFlags()
+	sf.Register(flag.CommandLine, "bench", "src", "size", "O", "march")
 	asmFile := flag.String("asm", "", "SEV assembly file (bypasses the compiler)")
-	size := flag.Int("size", 0, "benchmark scale (0 = default)")
-	levelFlag := flag.String("O", "O2", "optimization level O0..O3")
-	marchFlag := flag.String("march", "a15", "microarchitecture: a15 or a72")
 	oracle := flag.Bool("oracle", false, "cross-check against the reference interpreter")
 	maxCycles := flag.Uint64("max-cycles", 1<<34, "cycle budget")
 	flag.Parse()
 
-	cfg, err := cli.March(*marchFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	level, err := cli.Level(*levelFlag)
-	if err != nil {
-		cli.Fatal(err)
-	}
+	cfg := sf.Machine()
+	level := sf.OptLevel()
 	var prog *machine.Program
 	var name, src string
 	if *asmFile != "" {
@@ -58,10 +49,7 @@ func main() {
 		}
 	} else {
 		var err error
-		name, src, err = cli.LoadSource(*bench, *srcFile, *size)
-		if err != nil {
-			cli.Fatal(err)
-		}
+		name, src = sf.Source()
 		prog, err = compiler.Compile(src, name, level, cli.Target(cfg))
 		if err != nil {
 			cli.Fatal(err)

@@ -6,7 +6,9 @@
 // SIGKILLed mid-lease and restarted on the same workdir replays its
 // finished cells instead of recomputing them, then reports them —
 // whether or not the coordinator still remembers the lease, since
-// completions are merged by cell identity.
+// completions are merged by cell identity. The -cache directory is kept
+// across leases and studies, so re-leased cells skip their compiles and
+// golden simulations.
 //
 // Usage:
 //
@@ -32,8 +34,8 @@ func main() {
 	workdir := flag.String("workdir", "", "local journal directory (required); reuse it across restarts to resume partial leases")
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
 	cells := flag.Int("cells", 0, "cells to request per lease (0 = coordinator default)")
-	parallel := flag.Int("parallel", 0, "campaign parallelism per cell (0 = GOMAXPROCS); results are identical at any setting")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory, kept across leases and studies; re-leased cells skip compiles and golden simulations (results are byte-identical either way)")
+	sf := cli.NewStudyFlags()
+	sf.Register(flag.CommandLine, "parallel", "cache")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = adopt the study's advice, else unbounded)")
 	quiet := flag.Bool("q", false, "suppress log output")
 	flag.Parse()
@@ -57,8 +59,8 @@ func main() {
 		Name:        *name,
 		Workdir:     *workdir,
 		MaxCells:    *cells,
-		Parallelism: *parallel,
-		CacheDir:    *cacheDir,
+		Parallelism: sf.Parallel,
+		CacheDir:    sf.CacheDir,
 		CacheMaxMB:  *cacheMax,
 		Logf: func(format string, args ...any) {
 			if !*quiet {

@@ -58,7 +58,7 @@ func (p *BitPruner) deadBitsAfter(k int, a uint8) uint64 {
 	return p.bits.DeadOutBits(idx, a)
 }
 
-// PrunableKind implements faultinj.KindPruner for the RF target.
+// PrunableKind implements faultinj.Pruner for the RF target.
 func (p *BitPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (faultinj.PruneKind, string) {
 	if t.Name() != "RF" {
 		return faultinj.PruneNone, "not an RF injection"
@@ -87,13 +87,6 @@ func (p *BitPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		return faultinj.PruneNone, fmt.Sprintf("phys %d maps arch %d with live bit %d", phys, a, bit)
 	}
 	return faultinj.PruneNone, fmt.Sprintf("phys %d not in committed rename map", phys)
-}
-
-// Prunable implements faultinj.Pruner by delegating to PrunableKind,
-// shadowing the embedded register-granular implementation.
-func (p *BitPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, string) {
-	kind, reason := p.PrunableKind(t, inj)
-	return kind != faultinj.PruneNone, reason
 }
 
 // Bound computes the bit-granular static RF bound, recording the

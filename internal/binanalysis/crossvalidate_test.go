@@ -70,8 +70,8 @@ func TestPrunerSoundnessAgainstSimulation(t *testing.T) {
 				}
 				pruned := 0
 				for _, inj := range injections {
-					prunable, reason := pruner.Prunable(rf, inj)
-					if !prunable {
+					kind, reason := pruner.PrunableKind(rf, inj)
+					if kind == faultinj.PruneNone {
 						continue
 					}
 					pruned++

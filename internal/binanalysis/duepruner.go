@@ -116,7 +116,7 @@ func (p *DUEPruner) windowClear(k int, a uint8) bool {
 	return i < len(rs) && int(rs[i])-k >= p.robSize
 }
 
-// PrunableKind implements faultinj.KindPruner for the RF target with
+// PrunableKind implements faultinj.Pruner for the RF target with
 // the full three-way tier order: dead register, dead bit, due bit.
 func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (faultinj.PruneKind, string) {
 	if t.Name() != "RF" {
@@ -149,13 +149,6 @@ func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		return faultinj.PruneNone, fmt.Sprintf("phys %d maps arch %d with live bit %d", phys, a, bit)
 	}
 	return faultinj.PruneNone, fmt.Sprintf("phys %d not in committed rename map", phys)
-}
-
-// Prunable implements faultinj.Pruner by delegating to PrunableKind,
-// shadowing the embedded bit-granular implementation.
-func (p *DUEPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, string) {
-	kind, reason := p.PrunableKind(t, inj)
-	return kind != faultinj.PruneNone, reason
 }
 
 // Bound computes the three-way static RF bound. The per-interval

@@ -125,30 +125,31 @@ func (p *RFPruner) ratAt(k int) []uint16 {
 	return rat
 }
 
-// Prunable implements faultinj.Pruner for the RF target.
-func (p *RFPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, string) {
+// PrunableKind implements faultinj.Pruner for the RF target: every
+// proof is register-granular (PruneReg).
+func (p *RFPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (faultinj.PruneKind, string) {
 	if t.Name() != "RF" {
-		return false, "not an RF injection"
+		return faultinj.PruneNone, "not an RF injection"
 	}
 	phys := uint16(inj.Bit / uint64(p.xlen))
 	if phys == 0 {
-		return false, "phys 0 holds the zero register"
+		return faultinj.PruneNone, "phys 0 holds the zero register"
 	}
 	k := p.stateAt(inj.Cycle)
 	dead, ok := p.deadAfter(k)
 	if !ok {
-		return false, "last commit PC outside code image"
+		return faultinj.PruneNone, "last commit PC outside code image"
 	}
 	rat := p.ratAt(k)
 	for a := 1; a < p.numArch; a++ {
 		if rat[a] == phys {
 			if dead.Has(uint8(a)) {
-				return true, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
+				return faultinj.PruneReg, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
 			}
-			return false, fmt.Sprintf("phys %d maps live arch %d", phys, a)
+			return faultinj.PruneNone, fmt.Sprintf("phys %d maps live arch %d", phys, a)
 		}
 	}
-	return false, fmt.Sprintf("phys %d not in committed rename map", phys)
+	return faultinj.PruneNone, fmt.Sprintf("phys %d not in committed rename map", phys)
 }
 
 // RFBound is the static vulnerability bound for the RF target of one
@@ -217,7 +218,7 @@ func (p *RFPruner) walkIntervals(f func(k int, cycles uint64)) {
 
 // Bound computes the static RF bound by interval-walking the commit
 // trace: within an interval every bit of every dead mapped register is
-// provably masked. The per-cycle criterion is exactly Prunable's, so
+// provably masked. The per-cycle criterion is exactly PrunableKind's, so
 // the bound equals the pruned fraction of an exhaustive campaign.
 func (p *RFPruner) Bound() RFBound {
 	b := RFBound{SpaceBits: p.goldenCycles * uint64(p.numPhys) * uint64(p.xlen)}

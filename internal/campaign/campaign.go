@@ -126,20 +126,6 @@ func (c *Counts) Add(r faultinj.InjectResult) {
 	}
 }
 
-// consultPruner asks the pruner about one injection, preferring the
-// granularity-aware interface; a plain Pruner's proofs count as
-// register-granular (the only granularity that existed before kinds).
-func consultPruner(p faultinj.Pruner, t faultinj.Target, inj faultinj.Injection) (faultinj.PruneKind, string) {
-	if kp, ok := p.(faultinj.KindPruner); ok {
-		return kp.PrunableKind(t, inj)
-	}
-	ok, reason := p.Prunable(t, inj)
-	if ok {
-		return faultinj.PruneReg, reason
-	}
-	return faultinj.PruneNone, reason
-}
-
 // Of returns the count of one outcome class.
 func (c Counts) Of(o faultinj.Outcome) int {
 	switch o {
@@ -283,7 +269,7 @@ dispatch:
 						return
 					}
 					if opts.Pruner != nil && opts.Model.Width() <= 1 {
-						kind, reason := consultPruner(opts.Pruner, target, injections[i])
+						kind, reason := opts.Pruner.PrunableKind(target, injections[i])
 						if kind != faultinj.PruneNone {
 							// The proof class decides the synthetic
 							// outcome: dead-value proofs are Masked,

@@ -4,6 +4,7 @@ package cli
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -14,6 +15,7 @@ import (
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/compiler"
+	"sevsim/internal/faultinj"
 	"sevsim/internal/lang"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
@@ -33,13 +35,127 @@ func Interruptible() (context.Context, context.CancelFunc) {
 // by SIGINT (128 + SIGINT).
 const ExitInterrupted = 130
 
-// Parallelism resolves a -parallel flag value: <= 0 means one worker
-// per available CPU (GOMAXPROCS).
-func Parallelism(n int) int {
-	if n <= 0 {
+// StudyFlags are the flags the sevsim tools share: what to study (the
+// microarchitecture, the -O level and the program) and how to run it
+// (faults, seed, workers, pruning, checkpoints and the prep-artifact
+// cache). A tool takes NewStudyFlags, overrides the fields whose
+// default differs for it, registers the flags it accepts, and resolves
+// them after parsing. The resolvers are for main: a value that does not
+// resolve exits through Fatal.
+type StudyFlags struct {
+	March       string // -march
+	Level       string // -O
+	Bench       string // -bench
+	Src         string // -src
+	Size        int    // -size
+	Faults      int    // -faults
+	Seed        int64  // -seed
+	Parallel    int    // -parallel
+	Prune       bool   // -prune
+	Checkpoints int    // -checkpoints
+	CacheDir    string // -cache
+	CacheMaxMB  int64  // -cache-max-mb
+}
+
+// NewStudyFlags returns the shared defaults: the A15-like machine at
+// O2, the paper's 2,000 faults per campaign cell, and the package-default
+// checkpoint budget.
+func NewStudyFlags() *StudyFlags {
+	return &StudyFlags{
+		March:       "a15",
+		Level:       "O2",
+		Faults:      2000,
+		Seed:        2021,
+		Checkpoints: faultinj.DefaultCheckpoints,
+	}
+}
+
+// Register defines the named flags on fs, each defaulting to its
+// field's current value. Names are the flag names without the dash; an
+// unknown name is a programming error and panics.
+func (f *StudyFlags) Register(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		switch name {
+		case "march":
+			fs.StringVar(&f.March, name, f.March, "microarchitecture: a15 or a72")
+		case "O":
+			fs.StringVar(&f.Level, name, f.Level, "optimization level O0..O3")
+		case "bench":
+			fs.StringVar(&f.Bench, name, f.Bench, "benchmark name (qsort, dijkstra, fft, sha, blowfish, gsm, patricia, rijndael)")
+		case "src":
+			fs.StringVar(&f.Src, name, f.Src, "MiniC source file")
+		case "size":
+			fs.IntVar(&f.Size, name, f.Size, "benchmark scale (0 = default)")
+		case "faults":
+			fs.IntVar(&f.Faults, name, f.Faults, "faults per campaign cell (paper: 2000)")
+		case "seed":
+			fs.Int64Var(&f.Seed, name, f.Seed, "sampling seed")
+		case "parallel":
+			fs.IntVar(&f.Parallel, name, f.Parallel, "worker pool size (0 = GOMAXPROCS); results are identical at any setting")
+		case "prune":
+			fs.BoolVar(&f.Prune, name, f.Prune, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
+		case "checkpoints":
+			fs.IntVar(&f.Checkpoints, name, f.Checkpoints, "golden checkpoints per cell for injection fast-forward (0 disables); results are identical at any setting")
+		case "cache":
+			fs.StringVar(&f.CacheDir, name, f.CacheDir, "prep-artifact cache directory; repeat runs skip compiles and golden simulations (results are byte-identical either way)")
+		case "cache-max-mb":
+			fs.Int64Var(&f.CacheMaxMB, name, f.CacheMaxMB, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
+		default:
+			panic("cli: no study flag -" + name)
+		}
+	}
+}
+
+// Machine resolves -march.
+func (f *StudyFlags) Machine() machine.Config { return must(March(f.March)) }
+
+// OptLevel resolves -O.
+func (f *StudyFlags) OptLevel() compiler.OptLevel { return must(Level(f.Level)) }
+
+// Source resolves -bench, -src and -size into a named MiniC program.
+func (f *StudyFlags) Source() (name, src string) {
+	name, src, err := LoadSource(f.Bench, f.Src, f.Size)
+	if err != nil {
+		Fatal(err)
+	}
+	return name, src
+}
+
+// Workers resolves -parallel: <= 0 means one worker per available CPU
+// (GOMAXPROCS).
+func (f *StudyFlags) Workers() int {
+	if f.Parallel <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return n
+	return f.Parallel
+}
+
+// CheckpointBudget maps -checkpoints (0 disables, the natural CLI
+// convention) to the faultinj.Options / core.Spec convention, where 0
+// means "package default" and a negative value disables.
+func (f *StudyFlags) CheckpointBudget() int {
+	if f.Checkpoints <= 0 {
+		return -1
+	}
+	return f.Checkpoints
+}
+
+// OpenCache opens the prep-artifact cache behind -cache: no directory
+// leaves caching disabled (a nil cache is valid everywhere), and
+// -cache-max-mb 0 leaves the size unbounded.
+func (f *StudyFlags) OpenCache() *artcache.Cache {
+	if f.CacheDir == "" {
+		return nil
+	}
+	return must(artcache.Open(f.CacheDir, artcache.Options{MaxBytes: f.CacheMaxMB << 20}))
+}
+
+// must returns v, exiting through Fatal when err is set.
+func must[T any](v T, err error) T {
+	if err != nil {
+		Fatal(err)
+	}
+	return v
 }
 
 // Progress returns a serialized stdout progress printer, or nil when
@@ -129,26 +245,6 @@ func MustParse(src string) *lang.Program {
 func Fatal(err error) {
 	fmt.Fprintln(os.Stderr, "error:", err)
 	os.Exit(1) //lint:exit process boundary for the CLI tools
-}
-
-// Checkpoints maps a -checkpoints flag value (0 disables, the natural
-// CLI convention) to the faultinj.Options / core.Spec convention, where
-// 0 means "package default" and a negative value disables.
-func Checkpoints(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
-}
-
-// Cache opens the prep-artifact cache behind a -cache flag: dir ""
-// leaves caching disabled (a nil cache is valid everywhere), maxMB 0
-// leaves the size unbounded.
-func Cache(dir string, maxMB int64) (*artcache.Cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	return artcache.Open(dir, artcache.Options{MaxBytes: maxMB << 20})
 }
 
 // CacheSummary prints the cache's effectiveness counters; a disabled

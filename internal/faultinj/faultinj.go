@@ -249,16 +249,17 @@ func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Option
 	return e, nil
 }
 
-// Pruner decides, without simulating, that a sampled fault is provably
-// masked. Implementations must be safe for concurrent use: campaign
-// workers consult the pruner from many goroutines. The binary-level
-// ACE analyzer (internal/binanalysis) provides the register-file
-// pruner; the interface lives here so the campaign driver does not
-// depend on the analyzer.
+// Pruner decides, without simulating, that a sampled fault's outcome
+// is statically proven. Implementations must be safe for concurrent
+// use: campaign workers consult the pruner from many goroutines. The
+// binary-level ACE analyzer (internal/binanalysis) provides the
+// register-file pruners; the interface lives here so the campaign
+// driver does not depend on the analyzer.
 type Pruner interface {
-	// Prunable reports whether the injection into target is provably
-	// masked, with a short human-readable reason for audit trails.
-	Prunable(t Target, inj Injection) (bool, string)
+	// PrunableKind classifies the injection into target: PruneNone
+	// when no static proof covers it, otherwise the proof class, with
+	// a short human-readable reason for audit trails.
+	PrunableKind(t Target, inj Injection) (PruneKind, string)
 }
 
 // PruneKind records which static proof class a pruner assigned an
@@ -286,16 +287,6 @@ func (k PruneKind) String() string {
 		return "due"
 	}
 	return "none"
-}
-
-// KindPruner is an optional Pruner refinement that also reports the
-// granularity of each proof, so campaigns can split pruner hit rates
-// into register-granular vs bit-granular counts.
-type KindPruner interface {
-	Pruner
-	// PrunableKind classifies the injection: PruneNone when it cannot
-	// be proven masked, otherwise the granularity of the proof.
-	PrunableKind(t Target, inj Injection) (PruneKind, string)
 }
 
 // GoldenError reports a fault-free run that did not complete.

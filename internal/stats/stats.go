@@ -61,7 +61,9 @@ type Proportion struct {
 }
 
 // WilsonInterval returns the Wilson score interval for k successes out
-// of n trials at the given confidence.
+// of n trials at the given confidence. The interval always contains the
+// estimate: Lo is exactly 0 at k = 0 and Hi exactly 1 at k = n, where
+// the closed form would otherwise land a rounding error past them.
 func WilsonInterval(k, n int, confidence float64) Proportion {
 	if n == 0 {
 		return Proportion{}
@@ -74,7 +76,7 @@ func WilsonInterval(k, n int, confidence float64) Proportion {
 	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
 	return Proportion{
 		Estimate: p,
-		Lo:       math.Max(0, center-half),
-		Hi:       math.Min(1, center+half),
+		Lo:       math.Max(0, math.Min(p, center-half)),
+		Hi:       math.Min(1, math.Max(p, center+half)),
 	}
 }

@@ -98,3 +98,20 @@ func TestWilsonBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWilsonBoundaryCases pins the k = 0 and k = n edges exhaustively:
+// cancellation in the closed form can leave Lo a rounding error above
+// the estimate 0, or Hi a rounding error below the estimate 1.
+func TestWilsonBoundaryCases(t *testing.T) {
+	for _, c := range []float64{0.90, 0.95, 0.99, 0.999} {
+		for n := 1; n <= 5000; n++ {
+			for _, k := range []int{0, n} {
+				p := WilsonInterval(k, n, c)
+				if !(p.Lo <= p.Estimate && p.Estimate <= p.Hi) ||
+					(k == 0 && p.Lo != 0) || (k == n && p.Hi != 1) {
+					t.Fatalf("WilsonInterval(%d, %d, %v) = %+v", k, n, c, p)
+				}
+			}
+		}
+	}
+}
