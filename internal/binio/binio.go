@@ -261,19 +261,19 @@ func (r *Reader) U16sInto(dst []uint16) []uint16 {
 	return dst
 }
 
-// RLEInto reads a zero-run-length-encoded byte slice into dst.
-func (r *Reader) RLEInto(dst []byte) []byte {
+// RLEInto reads a zero-run-length-encoded byte slice of exactly want
+// bytes into dst, reusing dst's backing array when its capacity
+// suffices. Decoders know every slab's size from the machine geometry,
+// and a zero run can expand a few input bytes into any length, so the
+// declared length is checked against want, not against the remaining
+// input, and a mismatch fails before anything is allocated.
+func (r *Reader) RLEInto(dst []byte, want int) []byte {
 	total := r.Uvarint()
 	if r.err != nil {
 		return dst[:0]
 	}
-	// A run pair costs at least 2 input bytes but can legitimately
-	// expand to a huge zero run, so bound by the declared total (which
-	// itself is bounded by sanity, not remaining bytes — zeros are the
-	// whole point). Cap at 1GiB as an anti-bomb guard far above any
-	// real machine slab.
-	if total > 1<<30 {
-		r.fail(fmt.Errorf("binio: rle length %d exceeds sanity bound", total))
+	if want < 0 || total != uint64(want) {
+		r.fail(fmt.Errorf("binio: rle length %d, want %d", total, want))
 		return dst[:0]
 	}
 	dst = sizeFor(dst, int(total))

@@ -89,7 +89,7 @@ func TestRLERoundTrip(t *testing.T) {
 		var w Writer
 		w.RLE(c)
 		r := NewReader(w.Bytes())
-		got := r.RLEInto(nil)
+		got := r.RLEInto(nil, len(c))
 		if r.Err() != nil {
 			t.Fatalf("case %d: %v", i, r.Err())
 		}
@@ -125,7 +125,7 @@ func TestTruncatedInputFailsCleanly(t *testing.T) {
 	for n := 0; n < len(full); n++ {
 		r := NewReader(full[:n])
 		r.U64sInto(nil)
-		r.RLEInto(nil)
+		r.RLEInto(nil, 64)
 		_ = r.String() // decoded only for the error it leaves in r
 		if r.Err() == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
@@ -155,7 +155,7 @@ func TestReuseBuffers(t *testing.T) {
 	big8 := make([]byte, 0, 128)
 	g64 := r.U64sInto(big64)
 	g16 := r.U16sInto(big16)
-	g8 := r.RLEInto(big8)
+	g8 := r.RLEInto(big8, 3)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
@@ -164,5 +164,23 @@ func TestReuseBuffers(t *testing.T) {
 	}
 	if !slices.Equal(g64, []uint64{1, 2}) || !slices.Equal(g16, []uint16{3}) || !bytes.Equal(g8, []byte{4, 5, 6}) {
 		t.Fatal("values wrong after reuse")
+	}
+}
+
+// TestRLELengthFixedByCaller: a declared length other than the one the
+// caller expects is rejected before any allocation, whichever way it
+// differs — a few input bytes can declare a zero run of any size.
+func TestRLELengthFixedByCaller(t *testing.T) {
+	var w Writer
+	w.RLE(make([]byte, 1<<20))
+	for _, want := range []int{0, 1<<20 - 1, 1<<20 + 1, -1} {
+		r := NewReader(w.Bytes())
+		if got := r.RLEInto(nil, want); len(got) != 0 || r.Err() == nil {
+			t.Errorf("want %d: accepted a %d-byte slab (err %v)", want, 1<<20, r.Err())
+		}
+	}
+	r := NewReader(w.Bytes())
+	if got := r.RLEInto(nil, 1<<20); len(got) != 1<<20 || r.Err() != nil {
+		t.Fatalf("exact length rejected: %d bytes, err %v", len(got), r.Err())
 	}
 }

@@ -16,7 +16,12 @@
 //
 // A Stream is immutable after Record and safe to share read-only across
 // every worker of a campaign cell: machine.Restore copies out of a
-// snapshot, never into it, and memory pages are copy-on-write.
+// snapshot, never into it. Cache blocks and memory pages are
+// copy-on-write, and consecutive checkpoints share every block and page
+// that did not change between them, so a stream's memory grows with
+// what the golden run touches between checkpoints rather than with K
+// full copies of the cache hierarchy. That is what lets the default
+// checkpoint count be dense (faultinj.DefaultCheckpoints).
 package checkpoint
 
 import (
@@ -102,8 +107,8 @@ func (s *Stream) Latest(cycle uint64) *machine.Snap {
 	return nil
 }
 
-// Release returns every snapshot's pooled buffers (core and cache
-// states) to their pools and empties the stream. The caller must be
+// Release returns every snapshot's pooled core state to its pool and
+// empties the stream. The caller must be
 // the stream's last user: no restore, watch, or Latest call may follow.
 func (s *Stream) Release() {
 	for _, sn := range s.snaps {

@@ -1,11 +1,14 @@
 package checkpoint
 
 // Binary serialization of a checkpoint stream for the prep-artifact
-// cache. A decoded stream is functionally identical to one produced by
-// Record: the snapshots are pooled states in ascending cycle order,
-// and the convergence watches are rebuilt from the decoded snapshots
-// exactly the way Record builds them from live ones — a watch is just
-// a closure over its snapshot.
+// cache. Each snapshot is encoded against the one before it, so the
+// cache blocks a recording shares between consecutive checkpoints cost
+// one byte each. A decoded stream is functionally identical to one
+// produced by Record: the snapshots are in ascending cycle order, share
+// cache blocks and memory pages with their predecessor exactly where
+// the recording did, and the convergence watches are rebuilt from the
+// decoded snapshots the way Record builds them from live ones — a
+// watch is just a closure over its snapshot.
 
 import (
 	"fmt"
@@ -19,8 +22,10 @@ import (
 // the snapshots are serialized.
 func (s *Stream) EncodeTo(w *binio.Writer) {
 	w.Uvarint(uint64(len(s.snaps)))
+	var prev *machine.Snap
 	for _, sn := range s.snaps {
-		sn.EncodeTo(w)
+		sn.EncodeTo(w, prev)
+		prev = sn
 	}
 }
 
@@ -42,19 +47,19 @@ func DecodeStream(r *binio.Reader, cfg machine.Config) (*Stream, error) {
 		snaps:   make([]*machine.Snap, 0, n),
 		watches: make([]machine.Watch, 0, n),
 	}
-	var lastCycle uint64
+	var prev *machine.Snap
 	for i := 0; i < n; i++ {
-		sn, err := machine.DecodeSnap(r, cfg)
+		sn, err := machine.DecodeSnap(r, cfg, prev)
 		if err != nil {
 			s.Release()
 			return nil, err
 		}
-		if i > 0 && sn.Cycle <= lastCycle {
+		if prev != nil && sn.Cycle <= prev.Cycle {
 			sn.Release()
 			s.Release()
-			return nil, fmt.Errorf("checkpoint: decode: snapshot cycles not ascending (%d after %d)", sn.Cycle, lastCycle)
+			return nil, fmt.Errorf("checkpoint: decode: snapshot cycles not ascending (%d after %d)", sn.Cycle, prev.Cycle)
 		}
-		lastCycle = sn.Cycle
+		prev = sn
 		s.snaps = append(s.snaps, sn)
 		s.watches = append(s.watches, machine.Watch{
 			At: sn.Cycle,

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"sevsim/internal/faultinj"
 )
 
 func TestMarchResolution(t *testing.T) {
@@ -83,6 +85,7 @@ func TestStudyFlags(t *testing.T) {
 		"parallel", "prune", "checkpoints", "cache", "cache-max-mb"}
 	cacheDir := t.TempDir()
 	gomaxprocs := runtime.GOMAXPROCS(0)
+	def := faultinj.DefaultCheckpoints
 	type want struct {
 		machine string // config name; "" when -march must not resolve
 		level   string // "" when -O must not resolve
@@ -100,23 +103,23 @@ func TestStudyFlags(t *testing.T) {
 		want     want
 	}{
 		{name: "sevinject defaults", args: []string{"-bench", "qsort"},
-			want: want{"Cortex-A15-like", "O2", "qsort", 2000, 8, gomaxprocs, false}},
+			want: want{"Cortex-A15-like", "O2", "qsort", 2000, def, gomaxprocs, false}},
 		{name: "sevablate defaults",
 			defaults: func(f *StudyFlags) { f.March, f.Bench, f.Faults = "a72", "gsm", 200 },
-			want:     want{"Cortex-A72-like", "O2", "gsm", 200, 8, gomaxprocs, false}},
+			want:     want{"Cortex-A72-like", "O2", "gsm", 200, def, gomaxprocs, false}},
 		{name: "sevrepro defaults", defaults: func(f *StudyFlags) { f.Faults = 150 },
-			want: want{"Cortex-A15-like", "O2", "", 150, 8, gomaxprocs, false}},
+			want: want{"Cortex-A15-like", "O2", "", 150, def, gomaxprocs, false}},
 		{name: "sevanalyze defaults leave -O empty", defaults: func(f *StudyFlags) { f.Level = "" },
-			want: want{"Cortex-A15-like", "", "", 2000, 8, gomaxprocs, false}},
+			want: want{"Cortex-A15-like", "", "", 2000, def, gomaxprocs, false}},
 		{name: "overrides", args: []string{"-march", "a72", "-O", "3", "-bench", "sha", "-faults", "7",
-			"-checkpoints", "32", "-parallel", "3", "-cache", cacheDir, "-cache-max-mb", "1"},
-			want: want{"Cortex-A72-like", "O3", "sha", 7, 32, 3, true}},
+			"-checkpoints", "16", "-parallel", "3", "-cache", cacheDir, "-cache-max-mb", "1"},
+			want: want{"Cortex-A72-like", "O3", "sha", 7, 16, 3, true}},
 		{name: "bad march", args: []string{"-march", "m1", "-bench", "qsort"},
-			want: want{"", "O2", "qsort", 2000, 8, gomaxprocs, false}},
+			want: want{"", "O2", "qsort", 2000, def, gomaxprocs, false}},
 		{name: "bad level", args: []string{"-O", "O9", "-bench", "qsort"},
-			want: want{"Cortex-A15-like", "", "qsort", 2000, 8, gomaxprocs, false}},
+			want: want{"Cortex-A15-like", "", "qsort", 2000, def, gomaxprocs, false}},
 		{name: "bench with src", args: []string{"-bench", "qsort", "-src", "p.mc"},
-			want: want{"Cortex-A15-like", "O2", "", 2000, 8, gomaxprocs, false}},
+			want: want{"Cortex-A15-like", "O2", "", 2000, def, gomaxprocs, false}},
 		{name: "checkpoints 0 disables", args: []string{"-checkpoints", "0"},
 			want: want{"Cortex-A15-like", "O2", "", 2000, -1, gomaxprocs, false}},
 		{name: "no fastexit flag", args: []string{"-fastexit=false"}, parseErr: true},

@@ -37,7 +37,10 @@ import (
 // the serialized layout of any component changes (machine.Snap,
 // cpu.CoreState, mem slabs, the bundle itself) so stale entries miss
 // instead of decoding garbage.
-const prepBundleVersion = 1
+//
+// Version 2: checkpoint streams encode cache snapshots as copy-on-write
+// blocks, each shared with the previous snapshot where unchanged.
+const prepBundleVersion = 2
 
 // analysisVersion versions the binanalysis semantics behind the cached
 // static RF bound. Bump it when the ACE analysis or the pruner bound

@@ -133,13 +133,13 @@ func DecodeCoreState(r *binio.Reader, cfg *Config) (*CoreState, error) {
 		return nil, err
 	}
 
+	n64, n16, n8 := slabSizes(cfg)
 	s.u64 = r.U64sInto(s.u64)
 	s.u16 = r.U16sInto(s.u16)
-	s.u8 = r.RLEInto(s.u8)
+	s.u8 = r.RLEInto(s.u8, n8)
 	if err := r.Err(); err != nil {
 		return fail(err)
 	}
-	n64, n16, n8 := slabSizes(cfg)
 	if len(s.u64) != n64 || len(s.u16) != n16 || len(s.u8) != n8 {
 		return fail(fmt.Errorf("cpu: decode: slab lengths %d/%d/%d do not match config (want %d/%d/%d)",
 			len(s.u64), len(s.u16), len(s.u8), n64, n16, n8))

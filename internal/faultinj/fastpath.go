@@ -19,10 +19,15 @@ import (
 )
 
 // DefaultCheckpoints is the per-cell golden checkpoint budget when
-// Options.Checkpoints is zero. Eight checkpoints remove ~94% of
-// pre-injection simulation while the snapshots (dominated by the cache
-// copies; memory pages are copy-on-write) stay a few MiB per cell.
-const DefaultCheckpoints = 8
+// Options.Checkpoints is zero. An injection simulates about
+// GoldenCycles/K cycles, so K sets the cost of every injection. 32
+// checkpoints remove ~98% of pre-injection simulation, and the
+// snapshots stay small because cache blocks and memory pages are
+// copy-on-write: consecutive checkpoints share whatever did not change
+// between them. The budget is a constant rather than a per-unit cost
+// model because it is part of the prep-cache key, which must not
+// depend on a study's faults or targets.
+const DefaultCheckpoints = 32
 
 // Options configures experiment preparation beyond the config/program
 // pair.
@@ -72,40 +77,6 @@ func (e *Experiment) putMachine(m *machine.Machine) {
 	e.scratch.Put(m)
 }
 
-// getMachineFor prefers the machine parked on checkpoint k — its
-// delta-restore base is k's snapshot, so the upcoming restore copies
-// only touched lines — before falling back to the generic pool.
-func (e *Experiment) getMachineFor(k int) *machine.Machine {
-	e.scratchMu.Lock()
-	m := e.scratchByCkpt[k]
-	if m != nil {
-		delete(e.scratchByCkpt, k)
-	}
-	e.scratchMu.Unlock()
-	if m != nil {
-		return m
-	}
-	return e.getMachine()
-}
-
-// putMachineFor parks the machine on checkpoint k for the next
-// injection restoring from it; if the slot is taken the machine goes
-// back to the generic pool. Same consumption contract as putMachine.
-func (e *Experiment) putMachineFor(k int, m *machine.Machine) {
-	e.scratchMu.Lock()
-	if e.scratchByCkpt == nil {
-		e.scratchByCkpt = make(map[int]*machine.Machine)
-	}
-	if _, taken := e.scratchByCkpt[k]; !taken {
-		e.scratchByCkpt[k] = m
-		m = nil
-	}
-	e.scratchMu.Unlock()
-	if m != nil {
-		e.putMachine(m)
-	}
-}
-
 // runInjection executes one injection run with the given flip hook and
 // classifies it, managing a scratch machine for just this run. Batched
 // callers hold one machine across many runs instead (Batch).
@@ -114,10 +85,9 @@ func (e *Experiment) runInjection(inj Injection, hook machine.Hook) InjectResult
 		// Reference behavior: a fresh machine simulating from cycle 0.
 		return e.classify(machine.New(e.Config, e.Program).Run(e.cycleBudget(), hook))
 	}
-	k := e.ckpts.LatestIndex(inj.Cycle)
-	m := e.getMachineFor(k)
+	m := e.getMachine()
 	out := e.runInjectionOn(m, inj, hook)
-	e.putMachineFor(k, m)
+	e.putMachine(m)
 	return out
 }
 

@@ -2,10 +2,12 @@ package machine
 
 // Binary serialization of full-machine checkpoints (Snap) for the
 // prep-artifact cache: a warm cache hit reconstructs a checkpoint
-// stream from bytes instead of re-simulating the golden run. Decoding
-// draws core and cache states from their pools, exactly like a live
-// Snapshot, so cached and recorded checkpoints obey the same
-// ownership and Release rules.
+// stream from bytes instead of re-simulating the golden run. Snaps are
+// encoded against their predecessor in the stream, so cache blocks and
+// memory pages shared with it are shared again after decoding. Decoding
+// draws the core state from its pool, exactly like a live Snapshot, so
+// cached and recorded checkpoints obey the same ownership and Release
+// rules.
 
 import (
 	"fmt"
@@ -15,14 +17,18 @@ import (
 	"sevsim/internal/mem"
 )
 
-// EncodeTo appends the snapshot's complete state to w.
-func (s *Snap) EncodeTo(w *binio.Writer) {
+// EncodeTo appends the snapshot's complete state to w. prev is the
+// snapshot before it in the stream being encoded, or nil for the first.
+func (s *Snap) EncodeTo(w *binio.Writer, prev *Snap) {
+	if prev == nil {
+		prev = &Snap{} // no predecessor: every component is written in full
+	}
 	w.U64(s.Cycle)
 	w.U64(s.Hash)
 	s.Core.EncodeTo(w)
-	s.L1I.EncodeTo(w)
-	s.L1D.EncodeTo(w)
-	s.L2.EncodeTo(w)
+	s.L1I.EncodeTo(w, prev.L1I)
+	s.L1D.EncodeTo(w, prev.L1D)
+	s.L2.EncodeTo(w, prev.L2)
 	s.Mem.EncodeTo(w)
 }
 
@@ -71,8 +77,13 @@ func DecodeResult(r *binio.Reader) (Result, error) {
 
 // DecodeSnap reads one Snap written by EncodeTo, validating every
 // component against cfg — the machine configuration the snapshot was
-// captured under. The caller owns the result and must Release it.
-func DecodeSnap(r *binio.Reader, cfg Config) (*Snap, error) {
+// captured under. prev is the snap decoded just before it from the same
+// stream, or nil for the first. The caller owns the result and must
+// Release it.
+func DecodeSnap(r *binio.Reader, cfg Config, prev *Snap) (*Snap, error) {
+	if prev == nil {
+		prev = &Snap{}
+	}
 	s := &Snap{}
 	s.Cycle = r.U64()
 	s.Hash = r.U64()
@@ -80,27 +91,24 @@ func DecodeSnap(r *binio.Reader, cfg Config) (*Snap, error) {
 	if s.Core, err = cpu.DecodeCoreState(r, &cfg.CPU); err != nil {
 		return nil, fmt.Errorf("machine: decode snap core: %w", err)
 	}
-	release := func(e error) (*Snap, error) {
+	for _, c := range []struct {
+		name string
+		dst  **mem.CacheState
+		cfg  mem.CacheConfig
+		prev *mem.CacheState
+	}{
+		{"L1I", &s.L1I, cfg.L1I, prev.L1I},
+		{"L1D", &s.L1D, cfg.L1D, prev.L1D},
+		{"L2", &s.L2, cfg.L2, prev.L2},
+	} {
+		if *c.dst, err = mem.DecodeCacheState(r, c.cfg, c.prev); err != nil {
+			s.Release()
+			return nil, fmt.Errorf("machine: decode snap %s: %w", c.name, err)
+		}
+	}
+	if s.Mem, err = mem.DecodeMemoryState(r, prev.Mem); err != nil {
 		s.Release()
-		return nil, e
-	}
-	if s.L1I, err = mem.DecodeCacheState(r, cfg.L1I); err != nil {
-		s.Core.Release()
-		return nil, fmt.Errorf("machine: decode snap L1I: %w", err)
-	}
-	if s.L1D, err = mem.DecodeCacheState(r, cfg.L1D); err != nil {
-		s.Core.Release()
-		s.L1I.Release()
-		return nil, fmt.Errorf("machine: decode snap L1D: %w", err)
-	}
-	if s.L2, err = mem.DecodeCacheState(r, cfg.L2); err != nil {
-		s.Core.Release()
-		s.L1I.Release()
-		s.L1D.Release()
-		return nil, fmt.Errorf("machine: decode snap L2: %w", err)
-	}
-	if s.Mem, err = mem.DecodeMemoryState(r); err != nil {
-		return release(fmt.Errorf("machine: decode snap memory: %w", err))
+		return nil, fmt.Errorf("machine: decode snap memory: %w", err)
 	}
 	return s, nil
 }

@@ -24,8 +24,8 @@ func TestSnapEncodeRoundTripWithCrash(t *testing.T) {
 		}
 		sn := m.Snapshot()
 		var w binio.Writer
-		sn.EncodeTo(&w)
-		got, err := DecodeSnap(binio.NewReader(w.Bytes()), cfg)
+		sn.EncodeTo(&w, nil)
+		got, err := DecodeSnap(binio.NewReader(w.Bytes()), cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}

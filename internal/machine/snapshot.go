@@ -25,9 +25,11 @@ type Snap struct {
 	Hash uint64
 }
 
-// Snapshot captures the complete machine state. Caches and core are
-// deep-copied; memory is copy-on-write at page granularity, so the cost
-// is independent of memory footprint beyond the page table itself.
+// Snapshot captures the complete machine state. The core is
+// deep-copied; caches and memory are copy-on-write (cache blocks
+// unchanged since the cache's previous snapshot and memory pages not
+// written since are shared), so the memory a snapshot adds tracks what
+// changed since the previous one, not the size of the hierarchy.
 func (m *Machine) Snapshot() *Snap {
 	return &Snap{
 		Cycle: m.Core.Cycle(),
@@ -40,16 +42,13 @@ func (m *Machine) Snapshot() *Snap {
 	}
 }
 
-// Release returns the snapshot's pooled component states (core and
-// cache buffers) to their pools. The caller must be the snapshot's last
-// holder: no Restore, Converged, or Equal may use it afterwards, and
-// Release must not be called twice. Memory state is not pooled (its
-// pages are copy-on-write shared) and is simply dropped.
+// Release returns the snapshot's pooled core state to its pool. The
+// caller must be the snapshot's last holder: no Restore, Converged, or
+// Equal may use it afterwards, and Release must not be called twice.
+// Cache and memory states are not pooled (their blocks and pages are
+// shared copy-on-write) and are simply dropped.
 func (s *Snap) Release() {
 	s.Core.Release()
-	s.L1I.Release()
-	s.L1D.Release()
-	s.L2.Release()
 	s.Core, s.L1I, s.L1D, s.L2, s.Mem = nil, nil, nil, nil, nil
 }
 

@@ -39,12 +39,13 @@ type CacheStats struct {
 // Line state is struct-of-arrays: one flat slice per attribute, indexed
 // by line number (set*ways + way, row-major by set), with the data
 // array one contiguous slab of lines*LineSize bytes allocated at
-// construction. A snapshot is then five flat copies, the strict
-// comparison five flat compares, and a restore can be a *delta*: the
-// cache tracks which lines it has touched since the last restore, and
-// restoring the same snapshot again copies back only those lines — the
-// dominant case in an injection campaign, where thousands of short
-// faulty runs restart from one checkpoint.
+// construction. A snapshot cuts these arrays into copy-on-write blocks
+// of lines and shares every block unchanged since the previous snapshot
+// (see snapshot.go), and a restore can be a *delta*: the cache tracks
+// which lines it has touched since the last restore, and restoring the
+// same snapshot again copies back only those lines — the dominant case
+// in an injection campaign, where thousands of short faulty runs
+// restart from one checkpoint.
 type Cache struct {
 	// Geometry, derived from the config at construction and immutable
 	// after; snapshotcover (cmd/sevlint) checks every other field is
@@ -64,25 +65,24 @@ type Cache struct {
 	clock uint64
 
 	// Delta-restore bookkeeping: which lines changed since the last
-	// Restore, so restoring the same snapshot again copies only those.
-	// lastRestore+lastGen identify that snapshot; the generation guards
-	// against a pooled CacheState being released and reused at the same
-	// address. None of this is checkpoint state: it describes the
-	// relation between the live cache and one snapshot, and Restore
-	// rebuilds it.
+	// Restore, whose snapshot lastRestore holds. None of this is
+	// checkpoint state: it describes the relation between the live
+	// cache and one snapshot, and Restore rebuilds it.
 	lastRestore *CacheState //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
-	lastGen     uint64      //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
 	touched     []int32     //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
 	touchedMark []uint8     //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
 
 	// Convergence-compare memo: the behavioral line difference between
 	// the delta-restore base snapshot and each convergence-watch
 	// snapshot StateEquals has been asked about. Both snapshots are
-	// immutable while alive, so the diff is computed once per pair and
-	// reused across every injection run rewinding to the same base; a
-	// full restore (new base) resets it, and the generation stamps guard
-	// against pooled snapshot reuse.
-	diffs []watchDiff //snapshot:skip convergence-compare memo over immutable snapshots, reset on full restore
+	// immutable, so the diff is computed once per pair and reused
+	// across every injection run rewinding to the same base; a restore
+	// from a new base resets it.
+	diffs []watchDiff //snapshot:skip convergence-compare memo over immutable snapshots, reset on a new restore base
+
+	// prev is the cache's most recent snapshot, whose unchanged blocks
+	// the next snapshot shares.
+	prev *CacheState //snapshot:skip sharing hint for the next Snapshot; any value yields the same snapshot contents
 
 	//equality:dead event counters; never fed back into execution or classification
 	Stats CacheStats
@@ -329,7 +329,7 @@ func (c *Cache) ReadLine(addr uint64, dst []byte) int {
 	if off+len(dst) > c.cfg.LineSize {
 		simerr.Assertf("cache %s: line read spans lines at %#x", c.cfg.Name, addr)
 	}
-	copy(dst, c.lineData(set*c.cfg.Ways+way)[off:off+len(dst)])
+	copy(dst, c.lineData(set*c.cfg.Ways + way)[off:off+len(dst)])
 	return c.cfg.HitLatency + lat
 }
 

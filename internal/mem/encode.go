@@ -1,70 +1,132 @@
 package mem
 
 // Binary serialization of the memory-hierarchy snapshot halves of a
-// machine checkpoint, for the prep-artifact cache. Cache data slabs
-// are overwhelmingly zero for the bundled benchmarks, so they go
-// through binio's zero-run encoding; memory pages are stored sparsely
-// (only allocated pages, in ascending page order — the canonical order
-// content addressing requires). Both encodings are bit-complete with
-// respect to the strict Equal comparisons in snapshot.go.
+// machine checkpoint, for the prep-artifact cache. Snapshots are
+// encoded in stream order against their predecessor: a cache block
+// shared with the previous snapshot is a one-byte reference, the shared
+// zero block another, and only the remaining blocks are written out,
+// their byte arrays through binio's zero-run encoding. Memory pages are
+// stored sparsely (only allocated pages, in ascending page order — the
+// canonical order content addressing requires). Decoding re-aliases
+// blocks and pages shared with the previous snapshot, so a decoded
+// stream is as compact in memory as a recorded one. Both encodings are
+// bit-complete with respect to the strict Equal comparisons in
+// snapshot.go.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
 	"sevsim/internal/binio"
 )
 
-// EncodeTo appends the cache snapshot's complete state to w. The pool
-// generation stamp is deliberately excluded: it is process-local
-// identity for delta restores, not cache state, and DecodeCacheState
-// stamps a fresh one.
-func (s *CacheState) EncodeTo(w *binio.Writer) {
+// Block kinds in an encoded cache snapshot.
+const (
+	blockLiteral uint8 = iota // the block's lines follow
+	blockShared               // the previous snapshot's block
+	blockZero                 // the shared all-zero block
+)
+
+// EncodeTo appends the cache snapshot's complete state to w. prev is
+// the previous snapshot of the same cache in the stream being encoded,
+// or nil for the first.
+func (s *CacheState) EncodeTo(w *binio.Writer, prev *CacheState) {
+	w.Uvarint(uint64(s.lines))
+	w.Uvarint(uint64(s.lineSize))
 	w.U64(s.Clock)
 	w.U64(s.Stats.Hits)
 	w.U64(s.Stats.Misses)
 	w.U64(s.Stats.Writebacks)
 	w.U64(s.Stats.Evictions)
-	w.U64s(s.tags)
-	w.U64s(s.lru)
-	w.RLE(s.valid)
-	w.RLE(s.dirty)
-	w.RLE(s.data)
+	for b, blk := range s.blocks {
+		switch {
+		case prev != nil && prev.blocks[b] == blk:
+			w.U8(blockShared)
+		case blk == zeroBlock(len(blk.tags), s.lineSize):
+			w.U8(blockZero)
+		default:
+			w.U8(blockLiteral)
+			for _, v := range blk.tags {
+				w.U64(v)
+			}
+			for _, v := range blk.lru {
+				w.U64(v)
+			}
+			w.RLE(blk.valid)
+			w.RLE(blk.dirty)
+			w.RLE(blk.data)
+		}
+	}
 }
 
-// DecodeCacheState reads one CacheState written by EncodeTo into a
-// pooled snapshot. Geometry is validated against cfg (lines and data
-// bytes) the same way Cache.Restore validates a live restore. The
-// caller owns the result and must Release it.
-func DecodeCacheState(r *binio.Reader, cfg CacheConfig) (*CacheState, error) {
-	s := cacheStatePool.Get().(*CacheState)
-	fail := func(err error) (*CacheState, error) {
-		cacheStatePool.Put(s)
+// DecodeCacheState reads one CacheState written by EncodeTo, with prev
+// the state decoded just before it from the same stream (nil for the
+// first). The geometry must match cfg, and every literal block is read
+// at the size the geometry fixes, so a damaged input is rejected before
+// it can size an allocation.
+func DecodeCacheState(r *binio.Reader, cfg CacheConfig, prev *CacheState) (*CacheState, error) {
+	lines := 0
+	if cfg.Ways > 0 && cfg.LineSize > 0 {
+		// Mirror NewCache's geometry derivation exactly.
+		lines = cfg.Size / (cfg.Ways * cfg.LineSize) * cfg.Ways
+	}
+	gotLines, gotLineSize := r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if gotLines != uint64(lines) || gotLineSize != uint64(cfg.LineSize) {
+		return nil, fmt.Errorf("mem: decode: cache geometry %d lines of %d bytes does not match config (want %d of %d)",
+			gotLines, gotLineSize, lines, cfg.LineSize)
+	}
+	s := newCacheState(lines, cfg.LineSize)
 	s.Clock = r.U64()
 	s.Stats.Hits = r.U64()
 	s.Stats.Misses = r.U64()
 	s.Stats.Writebacks = r.U64()
 	s.Stats.Evictions = r.U64()
-	s.gen = cacheGen.Add(1) // fresh identity: never delta-matches a pre-decode restore base
-	s.tags = r.U64sInto(s.tags)
-	s.lru = r.U64sInto(s.lru)
-	s.valid = r.RLEInto(s.valid)
-	s.dirty = r.RLEInto(s.dirty)
-	s.data = r.RLEInto(s.data)
-	if err := r.Err(); err != nil {
-		return fail(err)
-	}
-	lines := 0
-	if cfg.Ways > 0 && cfg.LineSize > 0 {
-		// Mirror newCache's geometry derivation exactly.
-		lines = cfg.Size / (cfg.Ways * cfg.LineSize) * cfg.Ways
-	}
-	if len(s.tags) != lines || len(s.lru) != lines || len(s.valid) != lines ||
-		len(s.dirty) != lines || len(s.data) != lines*cfg.LineSize {
-		return fail(fmt.Errorf("mem: decode: cache geometry %d lines / %d data bytes does not match config (want %d / %d)",
-			len(s.tags), len(s.data), lines, lines*cfg.LineSize))
+	ls := s.lineSize
+	for b := range s.blocks {
+		lo, hi := s.span(b)
+		n := hi - lo
+		kind := r.U8()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		switch kind {
+		case blockShared:
+			if prev == nil {
+				r.Fail(errors.New("mem: decode: shared block reference in a stream's first snapshot"))
+				break
+			}
+			s.blocks[b] = prev.blocks[b]
+		case blockZero:
+			s.blocks[b] = zeroBlock(n, ls)
+		case blockLiteral:
+			// The fixed-width tag and LRU arrays alone need 16 bytes a
+			// line; check them against the input before allocating.
+			if r.Len() < 16*n {
+				r.Fail(fmt.Errorf("mem: decode: block %d truncated", b))
+				break
+			}
+			blk := newCacheBlock(n, ls)
+			for i := range blk.tags {
+				blk.tags[i] = r.U64()
+			}
+			for i := range blk.lru {
+				blk.lru[i] = r.U64()
+			}
+			blk.valid = r.RLEInto(blk.valid, n)
+			blk.dirty = r.RLEInto(blk.dirty, n)
+			blk.data = r.RLEInto(blk.data, n*ls)
+			s.blocks[b] = blk
+		default:
+			r.Fail(fmt.Errorf("mem: decode: block %d has unknown kind %d", b, kind))
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -84,10 +146,13 @@ func (s *MemoryState) EncodeTo(w *binio.Writer) {
 	}
 }
 
-// DecodeMemoryState reads one MemoryState written by EncodeTo. Pages
-// are freshly allocated (MemoryState is not pooled); the snapshot is
-// immediately shareable copy-on-write like any live-taken snapshot.
-func DecodeMemoryState(r *binio.Reader) (*MemoryState, error) {
+// DecodeMemoryState reads one MemoryState written by EncodeTo, with
+// prev the state decoded just before it from the same stream (nil for
+// the first). A page byte-equal to prev's page at the same address
+// aliases it, as the live recording did; other pages are freshly
+// allocated. Either way the snapshot is immediately shareable
+// copy-on-write like any live-taken snapshot.
+func DecodeMemoryState(r *binio.Reader, prev *MemoryState) (*MemoryState, error) {
 	n := int(r.Uvarint())
 	// Each non-empty page costs at least the key plus one run pair.
 	if n < 0 || n > r.Len()/10+1 {
@@ -98,17 +163,19 @@ func DecodeMemoryState(r *binio.Reader) (*MemoryState, error) {
 	var scratch []byte
 	for i := 0; i < n; i++ {
 		k := r.U64()
-		scratch = r.RLEInto(scratch)
+		scratch = r.RLEInto(scratch, PageSize)
 		if r.Err() != nil {
-			break
-		}
-		if len(scratch) != PageSize {
-			r.Fail(fmt.Errorf("mem: decode: page %#x has %d bytes, want %d", k, len(scratch), PageSize))
 			break
 		}
 		if _, dup := s.pages[k]; dup {
 			r.Fail(fmt.Errorf("mem: decode: duplicate page %#x", k))
 			break
+		}
+		if prev != nil {
+			if p := prev.pages[k]; p != nil && bytes.Equal(p[:], scratch) {
+				s.pages[k] = p
+				continue
+			}
 		}
 		page := new([PageSize]byte)
 		copy(page[:], scratch)

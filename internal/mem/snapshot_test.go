@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"sevsim/internal/binio"
+)
 
 // TestMemorySnapshotCopyOnWrite pins the COW contract: a snapshot's
 // pages are immutable once taken — post-snapshot stores clone the page
@@ -173,14 +177,15 @@ func TestCacheDeltaRestoreBitExact(t *testing.T) {
 	if !l1.Snapshot().Equal(s) {
 		t.Fatal("switching back to first snapshot not bit-exact")
 	}
-	// A released-and-reused snapshot must not be mistaken for the delta
-	// base: gen differs even if the pool hands back the same pointer.
-	s2.Release()
+	// A snapshot sharing most blocks with the delta base: the restore
+	// copies the differing blocks plus the touched lines and must still
+	// be bit-exact.
 	s3 := l1.Snapshot()
 	l1.Write(0x160000, 8, 0x9abc)
+	l1.Restore(s2)
 	l1.Restore(s3)
 	if !l1.Snapshot().Equal(s3) {
-		t.Fatal("restore from pooled-reuse snapshot not bit-exact")
+		t.Fatal("restore from a block-sharing snapshot not bit-exact")
 	}
 }
 
@@ -204,5 +209,67 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 	if !l1.StateEquals(s1) || !l2.StateEquals(s2) {
 		t.Error("restored caches not StateEquals their snapshots")
+	}
+}
+
+// TestCacheSnapshotPartialBlock runs the snapshot relations on a cache
+// whose 96 lines fill one copy-on-write block and half of a second:
+// Snapshot shares the untouched block, Restore, StateEquals and Equal
+// cover every line of the short block, and an encode/decode round trip
+// keeps both the states and the sharing.
+func TestCacheSnapshotPartialBlock(t *testing.T) {
+	cfg := CacheConfig{Name: "l2", Size: 96 * 64, Ways: 3, LineSize: 64, HitLatency: 4, AddrBits: 32}
+	c := NewCache(cfg, testMemory())
+	if lines := c.Sets() * cfg.Ways; lines != 96 {
+		t.Fatalf("cache has %d lines, want 96", lines)
+	}
+	setStride := uint64(c.Sets() * cfg.LineSize)
+	for i := uint64(0); i < 64; i++ {
+		c.Write(0x100000+i*64, 8, i|0x5a00) // fills lines in both blocks
+	}
+	s1 := c.Snapshot()
+	// Fill every way of the last set: lines 93-95, all in the short block.
+	for w := uint64(0); w < 3; w++ {
+		c.Write(0x100000+31*64+w*setStride, 8, ^w)
+	}
+	c.FlipDataBit(c.DataBitCount() - 1)
+	s2 := c.Snapshot()
+	if slots, distinct, missed := BlockStats([]*CacheState{s1, s2}); slots != 4 || distinct != 3 || missed != 0 {
+		t.Fatalf("block stats %d slots / %d distinct / %d missed, want 4 / 3 / 0", slots, distinct, missed)
+	}
+
+	for i, s := range []*CacheState{s1, s2, s1, s2} {
+		c.Write(0x100000+31*64+3*setStride, 8, uint64(i)) // evicts from the short block
+		c.Restore(s)
+		if !c.Snapshot().Equal(s) || !c.StateEquals(s) {
+			t.Fatalf("restore %d not exact", i)
+		}
+	}
+	c.FlipDataBit(c.DataBitCount() - 1)
+	if c.StateEquals(s2) || c.Snapshot().Equal(s2) {
+		t.Error("a flipped bit in the last line of the short block went unnoticed")
+	}
+
+	var w binio.Writer
+	s1.EncodeTo(&w, nil)
+	second := len(w.Bytes())
+	s2.EncodeTo(&w, s1)
+	r := binio.NewReader(w.Bytes())
+	d1, err := DecodeCacheState(r, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := DecodeCacheState(r, cfg, d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d1.Equal(s1) || !d2.Equal(s2) || r.Len() != 0 {
+		t.Fatal("encode/decode round trip not exact")
+	}
+	if _, distinct, _ := BlockStats([]*CacheState{d1, d2}); distinct != 3 {
+		t.Errorf("decoded states hold %d distinct blocks, want 3", distinct)
+	}
+	if _, err := DecodeCacheState(binio.NewReader(w.Bytes()[second:]), cfg, nil); err == nil {
+		t.Error("a shared-block reference decoded without a previous state")
 	}
 }
