@@ -35,8 +35,7 @@ func main() {
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
 	cells := flag.Int("cells", 0, "cells to request per lease (0 = coordinator default)")
 	sf := cli.NewStudyFlags()
-	sf.Register(flag.CommandLine, "parallel", "cache")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = adopt the study's advice, else unbounded)")
+	sf.Register(flag.CommandLine, "parallel", "cache", "cache-max-mb")
 	quiet := flag.Bool("q", false, "suppress log output")
 	flag.Parse()
 
@@ -61,7 +60,7 @@ func main() {
 		MaxCells:    *cells,
 		Parallelism: sf.Parallel,
 		CacheDir:    sf.CacheDir,
-		CacheMaxMB:  *cacheMax,
+		CacheMaxMB:  sf.CacheMaxMB,
 		Logf: func(format string, args ...any) {
 			if !*quiet {
 				fmt.Printf("sevworker %s: "+format+"\n", append([]any{*name}, args...)...)

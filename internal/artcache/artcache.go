@@ -108,7 +108,7 @@ func (s Stats) String() string {
 // a valid disabled cache.
 type Cache struct {
 	dir string
-	max atomic.Int64
+	max int64 // Options.MaxBytes
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -136,12 +136,11 @@ func Open(dir string, opt Options) (*Cache, error) {
 	if err := journal.MkdirAllSync(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artcache: %w", err)
 	}
-	c := &Cache{
+	return &Cache{
 		dir:    dir,
+		max:    opt.MaxBytes,
 		flight: make(map[string]*flightCall),
-	}
-	c.max.Store(opt.MaxBytes)
-	return c, nil
+	}, nil
 }
 
 // Dir returns the cache directory, or "" for a disabled cache.
@@ -229,17 +228,6 @@ func (c *Cache) Put(key string, payload []byte) error {
 	return c.evict(filepath.Base(path))
 }
 
-// LimitBytes replaces the size bound at runtime (0 lifts it); the
-// distributed layer applies a coordinator-pushed cache policy to a
-// long-lived worker cache this way. The bound takes effect at the next
-// Put.
-func (c *Cache) LimitBytes(n int64) {
-	if c == nil {
-		return
-	}
-	c.max.Store(n)
-}
-
 // Drop removes the entry for key and counts it as a corrupt discard.
 // Callers use it when a payload passed the cache's checksum but failed
 // semantic validation downstream (e.g. a stale or damaged bundle), so
@@ -307,8 +295,7 @@ func (c *Cache) finish(key string, fc *flightCall) {
 // evicted, so a Put always leaves its own entry readable even when
 // the payload alone exceeds the bound.
 func (c *Cache) evict(keep string) error {
-	max := c.max.Load()
-	if max <= 0 {
+	if c.max <= 0 {
 		return nil
 	}
 	c.mu.Lock()
@@ -345,7 +332,7 @@ func (c *Cache) evict(keep string) error {
 		return files[i].name < files[j].name // stable order for equal mtimes
 	})
 	for _, f := range files {
-		if total <= max {
+		if total <= c.max {
 			break
 		}
 		if f.name == keep {

@@ -66,11 +66,12 @@ func (s Spec) Cells() []CellRef {
 	return out
 }
 
-// CellOutcome is one completed work item: the cell's campaign result
-// plus, on the first outcome of each (march, bench, level) unit in a
-// RunCells call, the unit's golden record (and static bound, for prune
-// studies) so the receiver can reassemble the full Study without
-// re-running anything. Failures ride along instead of results when the
+// CellOutcome is one completed work item — what a RunCells call
+// returns, a coordinator merges and a study journal records: the
+// cell's campaign result plus, on the first outcome of each
+// (march, bench, level) unit, the unit's golden record (and static
+// bound, for prune studies) so the receiver can reassemble the full
+// Study without re-running anything. Failures ride along instead of results when the
 // spec runs keep-going: UnitFailure for a quarantined preparation
 // (Result is then the deterministic skipped placeholder), CellFailure
 // for a stuck or panicking cell.
@@ -99,14 +100,11 @@ func (s Spec) RunCells(ctx context.Context, cells []CellRef) ([]CellOutcome, err
 	if len(cells) == 0 {
 		return nil, nil
 	}
-	valid := make(map[cellKey]bool, len(s.Machines)*len(s.Benchmarks)*len(s.Levels)*len(s.Targets))
-	for _, ref := range s.Cells() {
-		valid[ref.cell()] = true
-	}
+	asm := NewAssembler(s)
 	sel := make(selection, len(cells))
 	for _, ref := range cells {
 		k := ref.cell()
-		if !valid[k] {
+		if _, ok := asm.cellIdx[k]; !ok {
 			return nil, fmt.Errorf("core: cell %s is not in the spec", ref)
 		}
 		if sel[k] {
@@ -114,46 +112,10 @@ func (s Spec) RunCells(ctx context.Context, cells []CellRef) ([]CellOutcome, err
 		}
 		sel[k] = true
 	}
-
-	st, units, err := s.run(ctx, sel)
-	if err != nil {
+	if err := s.run(ctx, asm, sel); err != nil {
 		return nil, err
 	}
-
-	nt := len(s.Targets)
-	out := make([]CellOutcome, 0, len(cells))
-	for ui, u := range units {
-		goldenAttached := false
-		for ti, t := range s.Targets {
-			if !u.want[ti] {
-				continue
-			}
-			o := CellOutcome{
-				Cell: CellRef{
-					March: u.cfg.Name, Bench: u.bench.Name,
-					Level: u.level.String(), Target: t.Name(),
-				},
-				Result: st.Results[ui*nt+ti],
-			}
-			switch {
-			case u.failure != nil:
-				o.UnitFailure = u.failure
-			case !goldenAttached:
-				g := st.Goldens[ui]
-				o.Golden = &g
-				if st.Static != nil {
-					sc := st.Static[ui]
-					o.Static = &sc
-				}
-				goldenAttached = true
-			}
-			if cf := u.cellFailures[ti]; cf != nil {
-				o.CellFailure = cf
-			}
-			out = append(out, o)
-		}
-	}
-	return out, nil
+	return asm.outcomes(sel)
 }
 
 // goldenKind tracks what filled a unit's golden slot during assembly.
@@ -165,90 +127,119 @@ const (
 	goldenReal                   // a worker-computed golden record
 )
 
-// Assembler merges CellOutcomes back into a Study. Outcomes may arrive
-// in any order, from any number of workers, and more than once (a
-// lease-expiry race can make two workers compute the same cell): the
-// first outcome per cell wins and later ones are reported as
-// duplicates, so no cell is ever double-counted. When every cell of
-// the spec is accounted for, Study returns a result whose saved bytes
-// are identical to a clean single-process Run — the merge-determinism
-// guarantee the distributed service rests on (values land at canonical
-// slice indices, quarantines assemble in unit-enumeration order, and
-// every value is itself deterministic given the spec).
+// Assembler merges CellOutcomes into a Study. It is the only code that
+// lays out a Study and places results: a local Run, a journal replay,
+// RunCells and the distributed coordinator all go through Add.
+// Outcomes may arrive in any order, from any number of workers, and
+// more than once (a lease-expiry race can make two workers compute the
+// same cell): the first outcome per cell wins and later ones are
+// reported as duplicates, so no cell is ever double-counted. When every
+// cell of the spec is accounted for, Study returns a result whose saved
+// bytes are identical to a clean single-process Run — the
+// merge-determinism guarantee the distributed service rests on (values
+// land at canonical slice indices, quarantines assemble in
+// unit-enumeration order, and every value is itself deterministic given
+// the spec).
 type Assembler struct {
-	spec Spec
-	nt   int
-	st   *Study
+	nt    int
+	st    *Study
+	cells []CellRef // the spec's cells in enumeration order
 
-	cellIdx map[cellKey]int // cell -> flat result index
-	unitIdx map[cellKey]int // unit -> unit index
-
-	have        []bool // per flat index: outcome or quarantine recorded
-	remaining   int
-	haveGolden  []goldenKind
-	unitFailure []*Failure
-	cellFailure [][]*Failure
+	cellIdx    map[cellKey]int // cell -> flat result index
+	placed     []*CellOutcome  // per flat index: the accepted outcome, Golden/Static moved into st
+	remaining  int
+	haveGolden []goldenKind // per unit
 }
 
-// NewAssembler prepares an empty assembly for the spec's full study.
+// NewAssembler lays out the spec's empty study: unit i (machines, then
+// benchmarks, then levels) owns Goldens[i] (and Static[i] in a prune
+// study) and Results[i*nt, (i+1)*nt), nt being the target count.
 func NewAssembler(spec Spec) *Assembler {
-	st := &Study{Faults: spec.Faults}
-	for _, m := range spec.Machines {
-		st.MachineNames = append(st.MachineNames, m.Name)
-	}
-	for _, b := range spec.Benchmarks {
-		st.BenchNames = append(st.BenchNames, b.Name)
-	}
-	for _, l := range spec.Levels {
-		st.LevelNames = append(st.LevelNames, l.String())
-	}
-	for _, t := range spec.Targets {
-		st.TargetNames = append(st.TargetNames, t.Name())
-	}
-	nt := len(spec.Targets)
-	a := &Assembler{
-		spec:    spec,
-		nt:      nt,
-		st:      st,
-		cellIdx: map[cellKey]int{},
-		unitIdx: map[cellKey]int{},
+	m := spec.fingerprint()
+	st := &Study{
+		MachineNames: m.Machines, BenchNames: m.Benches,
+		LevelNames: m.Levels, TargetNames: m.Targets,
+		Faults: spec.Faults,
 	}
 	cells := spec.Cells()
-	units := 0
-	for i, ref := range cells {
-		a.cellIdx[ref.cell()] = i
-		if _, ok := a.unitIdx[ref.unit()]; !ok {
-			a.unitIdx[ref.unit()] = units
-			units++
+	units := len(spec.Machines) * len(spec.Benchmarks) * len(spec.Levels)
+	if units > 0 {
+		st.Goldens = make([]Golden, units)
+		st.Results = make([]campaign.Result, len(cells))
+		if spec.Prune {
+			st.Static = make([]StaticRF, units)
 		}
 	}
-	st.Goldens = make([]Golden, units)
-	st.Results = make([]campaign.Result, len(cells))
-	if spec.Prune {
-		st.Static = make([]StaticRF, units)
+	a := &Assembler{
+		nt:         len(spec.Targets),
+		st:         st,
+		cells:      cells,
+		cellIdx:    make(map[cellKey]int, len(cells)),
+		placed:     make([]*CellOutcome, len(cells)),
+		remaining:  len(cells),
+		haveGolden: make([]goldenKind, units),
 	}
-	a.have = make([]bool, len(cells))
-	a.remaining = len(cells)
-	a.haveGolden = make([]goldenKind, units)
-	a.unitFailure = make([]*Failure, units)
-	a.cellFailure = make([][]*Failure, units)
-	for i := range a.cellFailure {
-		a.cellFailure[i] = make([]*Failure, nt)
+	for i, ref := range cells {
+		a.cellIdx[ref.cell()] = i
 	}
 	return a
 }
 
-// resolve maps an outcome/quarantine cell to its indices.
-func (a *Assembler) resolve(ref CellRef) (idx, ui, ti int, err error) {
-	idx, ok := a.cellIdx[ref.cell()]
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("core: cell %s is not in the spec", ref)
+// placeholder is the outcome of a cell that will never produce a
+// result: every cell of a unit whose preparation failed (f.Target
+// empty), a cell that failed — a campaign panic, a lease out of
+// retries — or a cell the watchdog stopped (f.Stuck). It derives from
+// the failure alone, so a replayed or merged quarantine yields the
+// bytes of the original.
+func placeholder(ref CellRef, f Failure) CellOutcome {
+	o := CellOutcome{Cell: ref, Result: campaign.Result{
+		March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target,
+	}}
+	switch {
+	case f.Target == "":
+		o.UnitFailure = &f
+		o.Result.Skipped = "unit " + f.Stage + " failed: " + f.Err
+	case f.Stuck:
+		o.CellFailure = &f
+		o.Result.Skipped = "stuck: " + f.Err
+	default:
+		o.CellFailure = &f
+		o.Result.Skipped = "cell failed: " + f.Err
 	}
-	ui, ok = a.unitIdx[ref.unit()]
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("core: unit of cell %s is not in the spec", ref)
+	return o
+}
+
+// Check validates an outcome without placing it: its cell must be in
+// the spec, and every record it carries must name that cell (or its
+// unit), so a corrupt journal line or a confused worker cannot place
+// one cell's values under another's name. Add applies the same check;
+// a receiver with side effects of its own (a journal) calls Check
+// before them.
+func (a *Assembler) Check(o CellOutcome) error {
+	cell, unit := o.Cell.cell(), o.Cell.unit()
+	if _, ok := a.cellIdx[cell]; !ok {
+		return fmt.Errorf("core: cell %s is not in the spec", o.Cell)
 	}
-	return idx, ui, idx % a.nt, nil
+	var bad []string
+	if r := o.Result; o.UnitFailure == nil && (cellKey{r.March, r.Bench, r.Level, r.Target}) != cell {
+		bad = append(bad, "result")
+	}
+	if g := o.Golden; g != nil && (cellKey{g.March, g.Bench, g.Level, ""}) != unit {
+		bad = append(bad, "golden")
+	}
+	if s := o.Static; s != nil && (cellKey{s.March, s.Bench, s.Level, ""}) != unit {
+		bad = append(bad, "static bound")
+	}
+	if f := o.UnitFailure; f != nil && (cellKey{f.March, f.Bench, f.Level, f.Target}) != unit {
+		bad = append(bad, "unit failure")
+	}
+	if f := o.CellFailure; f != nil && (cellKey{f.March, f.Bench, f.Level, f.Target}) != cell {
+		bad = append(bad, "cell failure")
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("core: outcome for %s carries a %s of another cell", o.Cell, strings.Join(bad, ", "))
+	}
+	return nil
 }
 
 // Add merges one outcome. It reports whether the outcome was accepted:
@@ -256,92 +247,101 @@ func (a *Assembler) resolve(ref CellRef) (idx, ui, ti int, err error) {
 // deduplicated double-completion of a lease-expiry race) and the new
 // outcome was discarded.
 func (a *Assembler) Add(o CellOutcome) (accepted bool, err error) {
-	idx, ui, ti, err := a.resolve(o.Cell)
-	if err != nil {
+	if err := a.Check(o); err != nil {
 		return false, err
 	}
-	if a.have[idx] {
+	idx := a.cellIdx[o.Cell.cell()]
+	if a.placed[idx] != nil {
 		return false, nil
 	}
-	a.have[idx] = true
-	a.remaining--
-
 	if f := o.UnitFailure; f != nil {
-		// A quarantined preparation: this cell contributes the unit's
-		// failure record (once) and the deterministic placeholder a
-		// keep-going Run would record.
-		if a.unitFailure[ui] == nil {
-			a.unitFailure[ui] = f
-		}
-		a.st.Results[idx] = skippedCell(*f, o.Cell.Target)
-		if a.haveGolden[ui] == goldenNone {
-			a.st.Goldens[ui] = Golden{March: f.March, Bench: f.Bench, Level: f.Level}
-			if a.st.Static != nil {
-				a.st.Static[ui] = StaticRF{March: f.March, Bench: f.Bench, Level: f.Level}
-			}
-			a.haveGolden[ui] = goldenPlaceholder
-		}
-		return true, nil
+		// A quarantined preparation: the deterministic placeholder a
+		// keep-going Run records, whatever Result the sender put in.
+		o = placeholder(o.Cell, *f)
 	}
-
-	a.st.Results[idx] = o.Result
-	if o.Golden != nil && a.haveGolden[ui] != goldenReal {
+	ui := idx / a.nt
+	switch {
+	case o.UnitFailure != nil && a.haveGolden[ui] == goldenNone:
+		a.st.Goldens[ui] = Golden{March: o.Cell.March, Bench: o.Cell.Bench, Level: o.Cell.Level}
+		if a.st.Static != nil {
+			a.st.Static[ui] = StaticRF{March: o.Cell.March, Bench: o.Cell.Bench, Level: o.Cell.Level}
+		}
+		a.haveGolden[ui] = goldenPlaceholder
+	case o.Golden != nil && a.haveGolden[ui] != goldenReal:
 		a.st.Goldens[ui] = *o.Golden
 		if a.st.Static != nil && o.Static != nil {
 			a.st.Static[ui] = *o.Static
 		}
 		a.haveGolden[ui] = goldenReal
 	}
-	if o.CellFailure != nil {
-		a.cellFailure[ui][ti] = o.CellFailure
-	}
+	a.st.Results[idx] = o.Result
+	o.Golden, o.Static = nil, nil
+	a.placed[idx] = &o
+	a.remaining--
 	return true, nil
 }
 
 // Quarantine records a cell that will never complete — its leases
 // expired or failed past the retry budget — with the failure that
-// removed it from the study. Like Add it is first-wins idempotent, so
-// a late completion racing a quarantine (or vice versa) resolves
-// deterministically to whichever was recorded first.
+// removed it from the study. It is Add of the failure's placeholder
+// outcome, so a late completion racing a quarantine (or vice versa)
+// resolves deterministically to whichever was recorded first.
 func (a *Assembler) Quarantine(ref CellRef, f Failure) (accepted bool, err error) {
-	idx, ui, ti, err := a.resolve(ref)
-	if err != nil {
-		return false, err
-	}
-	if a.have[idx] {
-		return false, nil
-	}
-	a.have[idx] = true
-	a.remaining--
-	if f.Target == "" {
-		// A unit-level failure quarantining this cell: record it once
-		// and fill the unit placeholders, as a keep-going Run would.
-		if a.unitFailure[ui] == nil {
-			a.unitFailure[ui] = &f
+	return a.Add(placeholder(ref, f))
+}
+
+// pending reports whether flat cell i still awaits an outcome.
+func (a *Assembler) pending(i int) bool { return a.placed[i] == nil }
+
+// unitFailure returns the preparation failure already placed for unit
+// ui — its first cell's, in target order — or nil.
+func (a *Assembler) unitFailure(ui int) *Failure {
+	for _, o := range a.placed[ui*a.nt : (ui+1)*a.nt] {
+		if o != nil && o.UnitFailure != nil {
+			return o.UnitFailure
 		}
-		a.st.Results[idx] = skippedCell(f, ref.Target)
-		if a.haveGolden[ui] == goldenNone {
-			a.st.Goldens[ui] = Golden{March: f.March, Bench: f.Bench, Level: f.Level}
+	}
+	return nil
+}
+
+// hasGolden reports whether unit ui's real golden record is placed.
+func (a *Assembler) hasGolden(ui int) bool { return a.haveGolden[ui] == goldenReal }
+
+// outcomes returns the placed outcomes of the selected cells in
+// enumeration order, the unit's golden record (and static bound)
+// attached to the first outcome of each unit that has one — the shape
+// RunCells hands a coordinator, whatever mix of replay and fresh work
+// placed the cells.
+func (a *Assembler) outcomes(sel selection) ([]CellOutcome, error) {
+	out := make([]CellOutcome, 0, len(sel))
+	attached := -1
+	for i, ref := range a.cells {
+		if !sel[ref.cell()] {
+			continue
+		}
+		if a.pending(i) {
+			return nil, fmt.Errorf("core: cell %s has no outcome", ref)
+		}
+		o := *a.placed[i]
+		if ui := i / a.nt; o.UnitFailure == nil && ui != attached && a.hasGolden(ui) {
+			g := a.st.Goldens[ui]
+			o.Golden = &g
 			if a.st.Static != nil {
-				a.st.Static[ui] = StaticRF{March: f.March, Bench: f.Bench, Level: f.Level}
+				sc := a.st.Static[ui]
+				o.Static = &sc
 			}
-			a.haveGolden[ui] = goldenPlaceholder
+			attached = ui
 		}
-		return true, nil
+		out = append(out, o)
 	}
-	a.cellFailure[ui][ti] = &f
-	a.st.Results[idx] = campaign.Result{
-		March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target,
-		Skipped: "cell failed: " + f.Err,
-	}
-	return true, nil
+	return out, nil
 }
 
 // Done returns how many of the spec's cells are accounted for.
-func (a *Assembler) Done() int { return len(a.have) - a.remaining }
+func (a *Assembler) Done() int { return len(a.placed) - a.remaining }
 
 // Total returns the spec's cell count.
-func (a *Assembler) Total() int { return len(a.have) }
+func (a *Assembler) Total() int { return len(a.placed) }
 
 // Complete reports whether every cell is accounted for.
 func (a *Assembler) Complete() bool { return a.remaining == 0 }
@@ -349,8 +349,8 @@ func (a *Assembler) Complete() bool { return a.remaining == 0 }
 // Missing lists the cells not yet accounted for, in enumeration order.
 func (a *Assembler) Missing() []CellRef {
 	var out []CellRef
-	for i, ref := range a.spec.Cells() {
-		if !a.have[i] {
+	for i, ref := range a.cells {
+		if a.pending(i) {
 			out = append(out, ref)
 		}
 	}
@@ -370,24 +370,20 @@ func (a *Assembler) Study() (*Study, error) {
 			keys = append(keys, ref.Key())
 		}
 		return nil, fmt.Errorf("core: assembly incomplete: %d of %d cells missing (first: %s)",
-			a.remaining, len(a.have), strings.Join(keys, ", "))
+			a.remaining, len(a.placed), strings.Join(keys, ", "))
 	}
-	// Quarantine records assemble in unit-enumeration order, unit
-	// failure first then per-target cell failures — exactly the order
-	// the scheduler's final pass uses.
+	// Quarantine records assemble in unit-enumeration order: the unit's
+	// failure (its first cell's, in target order) and then the
+	// per-target cell failures.
 	st := a.st
 	st.Failed = nil
-	for _, ref := range a.spec.Cells() {
-		if ref.Target != a.spec.Targets[0].Name() {
-			continue // walk units once, via their first target
-		}
-		ui := a.unitIdx[ref.unit()]
-		if f := a.unitFailure[ui]; f != nil {
+	for ui := range a.haveGolden {
+		if f := a.unitFailure(ui); f != nil {
 			st.Failed = append(st.Failed, *f)
 		}
-		for _, cf := range a.cellFailure[ui] {
-			if cf != nil {
-				st.Failed = append(st.Failed, *cf)
+		for _, o := range a.placed[ui*a.nt : (ui+1)*a.nt] {
+			if o.CellFailure != nil {
+				st.Failed = append(st.Failed, *o.CellFailure)
 			}
 		}
 	}

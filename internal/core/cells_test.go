@@ -292,3 +292,38 @@ func TestRunCellsJournalReplay(t *testing.T) {
 		t.Fatal("journaled wide lease differs from a journal-free run")
 	}
 }
+
+// TestAssemblerRejectsMislabeledOutcome: an outcome whose result,
+// golden or failure names another cell than the one it is filed under
+// is refused, so a corrupt journal line or a confused worker cannot
+// place one cell's values under another's name.
+func TestAssemblerRejectsMislabeledOutcome(t *testing.T) {
+	spec := resumeSpec(t)
+	spec.Benchmarks = spec.Benchmarks[:1]
+	spec.Levels = spec.Levels[:1]
+	cells := spec.Cells()
+	out, err := spec.RunCells(context.Background(), cells[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := out[0]
+	other := cells[1]
+	otherUnit := Failure{March: "a72", Bench: other.Bench, Level: other.Level, Stage: "compile"}
+	for name, o := range map[string]CellOutcome{
+		"result filed under another cell": {Cell: other, Result: good.Result},
+		"golden of another unit":          {Cell: good.Cell, Result: good.Result, Golden: &Golden{March: "a72"}},
+		"cell failure of another cell":    {Cell: good.Cell, Result: good.Result, CellFailure: &Failure{March: other.March, Bench: other.Bench, Level: other.Level, Target: other.Target}},
+		"unit failure of another unit":    {Cell: good.Cell, UnitFailure: &otherUnit},
+	} {
+		asm := NewAssembler(spec)
+		if ok, err := asm.Add(o); err == nil || ok {
+			t.Errorf("%s: accepted=%v err=%v", name, ok, err)
+		}
+		if asm.Done() != 0 {
+			t.Errorf("%s: placed %d cells", name, asm.Done())
+		}
+	}
+	if ok, err := NewAssembler(spec).Add(good); err != nil || !ok {
+		t.Fatalf("well-formed outcome refused: %v %v", ok, err)
+	}
+}

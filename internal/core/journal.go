@@ -1,31 +1,40 @@
 // Study journaling: the adapter between the generic durable record log
-// (internal/journal) and the study engine. Each completed prep-unit
-// golden and campaign cell is appended as it finishes; a resumed run
-// replays the records, skips the finished work, and lands every
-// replayed value at exactly the slice index a clean run would use, so
-// the final study.json is byte-identical either way.
+// (internal/journal) and the study engine. Each placed cell is appended
+// as its CellOutcome; a resumed run replays the outcomes into the same
+// Assembler the run places fresh work into and skips the finished
+// cells, so the final study.json is byte-identical either way.
 package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
-	"sevsim/internal/campaign"
 	"sevsim/internal/journal"
 )
 
 // Journal record kinds. The meta record is always first and pins the
-// spec; golden and cell records carry completed results; failure
-// records carry keep-going quarantines so a resume reproduces them
-// instead of retrying forever.
+// spec; every later record is one placed cell's CellOutcome — a result,
+// a keep-going quarantine, or a stuck cell — with the unit's golden
+// record riding on the unit's first outcome, exactly as RunCells
+// returns them.
 const (
 	kindMeta    = "meta"
-	kindGolden  = "golden"
-	kindCell    = "cell"
-	kindFailure = "failure"
+	kindOutcome = "outcome"
 )
+
+// ErrJournalUnusable marks a study journal that cannot be resumed:
+// recorded under another spec, written in an older record format, or
+// holding a record that does not fit the spec. Nothing in such a
+// journal is silently recomputed; the caller removes it or stops.
+var ErrJournalUnusable = errors.New("study journal cannot be resumed")
+
+// unusableError keeps a rejected journal's message and marks it
+// ErrJournalUnusable.
+type unusableError struct{ error }
+
+func (e unusableError) Unwrap() []error { return []error{e.error, ErrJournalUnusable} }
 
 // metaRecord fingerprints the spec a journal belongs to. Everything
 // that can change a result is included; execution knobs that cannot
@@ -42,64 +51,20 @@ type metaRecord struct {
 	Prune    bool
 }
 
-// goldenRecord is one completed unit preparation.
-type goldenRecord struct {
-	Golden Golden
-	Static *StaticRF `json:",omitempty"`
-}
-
-// replayState is a journal decoded into keyed lookups.
-type replayState struct {
-	goldens  map[cellKey]goldenRecord
-	cells    map[cellKey]campaign.Result
-	failures map[cellKey]Failure // Target "" keys unit-level failures
-}
-
-func (rs *replayState) empty() bool {
-	return rs == nil || (len(rs.goldens) == 0 && len(rs.cells) == 0 && len(rs.failures) == 0)
-}
-
-// studyJournal wraps the writer with spec-level record helpers. A nil
+// studyJournal is the writer side of an open study journal. A nil
 // *studyJournal is a valid no-op, so call sites need no journal guards.
-// The first append error cancels the study (the run must not outlive
-// its durability guarantee) and is reported after the drain.
 type studyJournal struct {
-	w      *journal.Writer
-	cancel func()
-
-	mu  sync.Mutex
-	err error
+	w *journal.Writer
 }
 
-func (j *studyJournal) append(kind string, v any) {
-	if j == nil {
-		return
-	}
-	if err := j.w.Append(kind, v); err != nil {
-		j.mu.Lock()
-		if j.err == nil {
-			j.err = fmt.Errorf("study journal: %w", err)
-			j.cancel()
-		}
-		j.mu.Unlock()
-	}
-}
-
-func (j *studyJournal) appendGolden(g Golden, static *StaticRF) {
-	j.append(kindGolden, goldenRecord{Golden: g, Static: static})
-}
-
-func (j *studyJournal) appendCell(r campaign.Result) { j.append(kindCell, r) }
-
-func (j *studyJournal) appendFailure(f Failure) { j.append(kindFailure, f) }
-
-func (j *studyJournal) firstErr() error {
+func (j *studyJournal) appendOutcome(o CellOutcome) error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
+	if err := j.w.Append(kindOutcome, o); err != nil {
+		return fmt.Errorf("study journal: %w", err)
+	}
+	return nil
 }
 
 func (j *studyJournal) close() {
@@ -149,71 +114,69 @@ func (s Spec) resolveSizes() []int {
 }
 
 // openStudyJournal opens (or creates) the journal at path, validates
-// the meta record against the spec, and decodes the replayable state.
-// cancel is invoked on the first append failure so the scheduler drains
-// instead of running ahead of a dead journal.
-func openStudyJournal(path string, meta metaRecord, cancel func()) (*studyJournal, *replayState, error) {
+// the meta record against the spec, and replays every outcome record
+// into asm.
+func openStudyJournal(path string, meta metaRecord, asm *Assembler) (*studyJournal, error) {
 	w, recs, err := journal.Open(path, journal.Options{})
 	if err != nil {
-		return nil, nil, err
-	}
-	rs := &replayState{
-		goldens:  map[cellKey]goldenRecord{},
-		cells:    map[cellKey]campaign.Result{},
-		failures: map[cellKey]Failure{},
+		return nil, err
 	}
 	if len(recs) == 0 {
-		// Fresh journal: pin the spec before any result record.
-		j := &studyJournal{w: w, cancel: cancel}
+		// Fresh journal: pin the spec before any outcome record.
 		if err := w.Append(kindMeta, meta); err != nil {
 			w.Close()
-			return nil, nil, fmt.Errorf("study journal: %w", err)
+			return nil, fmt.Errorf("study journal: %w", err)
 		}
-		return j, rs, nil
+		return &studyJournal{w: w}, nil
 	}
-	if recs[0].Kind != kindMeta {
+	err = checkMeta(path, recs[0], meta)
+	if err == nil {
+		err = replayOutcomes(path, recs[1:], asm)
+	}
+	if err != nil {
 		w.Close()
-		return nil, nil, fmt.Errorf("study journal %s: first record is %q, not %q", path, recs[0].Kind, kindMeta)
+		return nil, unusableError{err}
+	}
+	return &studyJournal{w: w}, nil
+}
+
+// checkMeta rejects a journal whose first record does not pin the
+// current spec.
+func checkMeta(path string, rec journal.Record, meta metaRecord) error {
+	if rec.Kind != kindMeta {
+		return fmt.Errorf("study journal %s: first record is %q, not %q", path, rec.Kind, kindMeta)
 	}
 	var got metaRecord
-	if err := json.Unmarshal(recs[0].Data, &got); err != nil {
-		w.Close()
-		return nil, nil, fmt.Errorf("study journal %s: meta record: %w", path, err)
+	if err := json.Unmarshal(rec.Data, &got); err != nil {
+		return fmt.Errorf("study journal %s: meta record: %w", path, err)
 	}
 	if diff := diffMeta(got, meta); len(diff) > 0 {
-		w.Close()
-		return nil, nil, fmt.Errorf("study journal %s was recorded under a different spec:\n  %s\nremove the journal, or pass a different -journal path, or restore the knobs above",
+		return fmt.Errorf("study journal %s was recorded under a different spec:\n  %s\nremove the journal, or pass a different -journal path, or restore the knobs above",
 			path, strings.Join(diff, "\n  "))
 	}
-	for _, r := range recs[1:] {
-		switch r.Kind {
-		case kindGolden:
-			var g goldenRecord
-			if err := json.Unmarshal(r.Data, &g); err != nil {
-				w.Close()
-				return nil, nil, fmt.Errorf("study journal %s: golden record: %w", path, err)
-			}
-			rs.goldens[cellKey{g.Golden.March, g.Golden.Bench, g.Golden.Level, ""}] = g
-		case kindCell:
-			var c campaign.Result
-			if err := json.Unmarshal(r.Data, &c); err != nil {
-				w.Close()
-				return nil, nil, fmt.Errorf("study journal %s: cell record: %w", path, err)
-			}
-			rs.cells[cellKey{c.March, c.Bench, c.Level, c.Target}] = c
-		case kindFailure:
-			var f Failure
-			if err := json.Unmarshal(r.Data, &f); err != nil {
-				w.Close()
-				return nil, nil, fmt.Errorf("study journal %s: failure record: %w", path, err)
-			}
-			rs.failures[cellKey{f.March, f.Bench, f.Level, f.Target}] = f
-		default:
-			w.Close()
-			return nil, nil, fmt.Errorf("study journal %s: unknown record kind %q", path, r.Kind)
+	return nil
+}
+
+// replayOutcomes places a journal's outcome records (those after the
+// meta record) into asm. Any other record kind — including the
+// golden/cell/failure records of journals written before outcome
+// records existed — is an error naming the journal, never a silent
+// recompute.
+func replayOutcomes(path string, recs []journal.Record, asm *Assembler) error {
+	for i, r := range recs {
+		if r.Kind != kindOutcome {
+			return fmt.Errorf("study journal %s: record %d has kind %q, not %q (a journal written before outcome records cannot be resumed); remove the journal and rerun",
+				path, i+1, r.Kind, kindOutcome)
+		}
+		var o CellOutcome
+		if err := json.Unmarshal(r.Data, &o); err != nil {
+			return fmt.Errorf("study journal %s: record %d: %w", path, i+1, err)
+		}
+		if _, err := asm.Add(o); err != nil {
+			return fmt.Errorf("study journal %s: record %d: %w", path, i+1, err)
 		}
 	}
-	return &studyJournal{w: w, cancel: cancel}, rs, nil
+	return nil
 }
 
 // diffMeta renders a field-level diff of a journal's stored spec

@@ -22,7 +22,7 @@ import (
 
 // resumeSpec is tinySpec narrowed to one machine: 4 prep units and 12
 // campaign cells, small enough to re-run repeatedly.
-func resumeSpec(t *testing.T) Spec {
+func resumeSpec(t testing.TB) Spec {
 	t.Helper()
 	spec := tinySpec(t)
 	spec.Machines = spec.Machines[:1]

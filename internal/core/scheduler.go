@@ -8,14 +8,19 @@
 // saved study is byte-identical to a serial run regardless of
 // Parallelism.
 //
-// Crash tolerance: with Spec.Journal set, every finished golden and
-// cell is durably appended as it completes and replayed on restart, so
-// a study killed at any point resumes where it left off and still
-// saves byte-identical output. RunContext makes the whole engine
-// cancellable (SIGINT flows in as context cancellation: dispatch
-// stops, in-flight injections drain, the journal is flushed), and
-// Spec.KeepGoing quarantines failed units into Study.Failed instead of
-// aborting the run.
+// Placement: every finished, quarantined or stuck cell goes to one
+// Assembler as a CellOutcome — the same merge path RunCells outcomes
+// take through the distributed coordinator — so a local study and a
+// merged one are byte-identical by construction.
+//
+// Crash tolerance: with Spec.Journal set, every placed outcome is
+// durably appended in placement order and replayed into the Assembler
+// on restart, so a study killed at any point resumes where it left
+// off and still saves byte-identical output. RunContext makes the
+// whole engine cancellable (SIGINT flows in as context cancellation:
+// dispatch stops, in-flight injections drain, the journal is flushed),
+// and Spec.KeepGoing quarantines failed units into Study.Failed
+// instead of aborting the run.
 package core
 
 import (
@@ -69,9 +74,11 @@ type prepUnit struct {
 	analyses    *analysisCache  // shared across the study's prune units
 	cache       *artcache.Cache // nil: prep directly, nothing persisted
 
+	// idx is the unit's position in enumeration order: its cells sit
+	// at flat indices idx*nt ... idx*nt+nt-1 of the study.
+	idx int
 	// want selects the unit's targets to campaign (parallel to the
-	// spec's Targets); RunContext wants everything, RunCells only the
-	// requested subset.
+	// spec's Targets): the selected cells the Assembler still lacks.
 	want []bool
 
 	// Retry pacing between failed preparation attempts: the shared
@@ -88,13 +95,17 @@ type prepUnit struct {
 	stage    string // failing stage: "compile", "golden", "analyze"
 	attempts int
 	ready    chan struct{} // closed once exp/golden/err are final
+}
 
-	// Resume / quarantine bookkeeping.
-	skip          bool               // fully satisfied by the journal; no prep, no cells
-	goldenFromLog bool               // golden replayed; do not re-append it
-	replayed      []*campaign.Result // per-target journaled cells (nil = must run)
-	failure       *Failure           // unit-level quarantine (replayed or new)
-	cellFailures  []*Failure         // per-target quarantines (stuck cells, panics)
+// cell names the unit's cell for target t.
+func (u *prepUnit) cell(t faultinj.Target) CellRef {
+	return CellRef{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Target: t.Name()}
+}
+
+// quarantine is the failure record of the unit (target "") or of one
+// of its cells.
+func (u *prepUnit) quarantine(target, stage, err string) Failure {
+	return Failure{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Target: target, Stage: stage, Err: err}
 }
 
 // run prepares the unit with up to retries extra attempts; a cancelled
@@ -339,85 +350,39 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// skippedCell is the deterministic placeholder recorded for every cell
-// of a quarantined unit. It is derived (not journaled), so an initial
-// run and a resumed run produce identical bytes.
-func skippedCell(f Failure, target string) campaign.Result {
-	return campaign.Result{
-		March: f.March, Bench: f.Bench, Level: f.Level, Target: target,
-		Skipped: "unit " + f.Stage + " failed: " + f.Err,
-	}
+// placer is a run's single merge point: every outcome goes to the
+// Assembler and then to the journal under one lock, so the journal
+// replays in the order the Assembler saw. The first failure to place
+// or persist cancels the run (it must not outlive its durability
+// guarantee) and is reported after the drain.
+type placer struct {
+	mu     sync.Mutex
+	asm    *Assembler
+	jn     *studyJournal
+	cancel func()
+	err    error
 }
 
-// quarantineUnit fills a failed unit's golden and cell slots with
-// deterministic placeholders.
-func quarantineUnit(st *Study, targets []faultinj.Target, ui int, f Failure) {
-	st.Goldens[ui] = Golden{March: f.March, Bench: f.Bench, Level: f.Level}
-	if st.Static != nil {
-		st.Static[ui] = StaticRF{March: f.March, Bench: f.Bench, Level: f.Level}
-	}
-	nt := len(targets)
-	for ti, t := range targets {
-		st.Results[ui*nt+ti] = skippedCell(f, t.Name())
-	}
-}
-
-// replayInto fills study slots from the journal's replay state and
-// marks fully-satisfied units for skipping. Returns how many cells
-// were replayed.
-func (s Spec) replayInto(st *Study, units []*prepUnit, rs *replayState) int {
-	if rs.empty() {
-		return 0
-	}
-	nt := len(s.Targets)
-	replayed := 0
-	for ui, u := range units {
-		if u.skip {
-			continue // no selected targets; nothing to replay into
-		}
-		ukey := cellKey{u.cfg.Name, u.bench.Name, u.level.String(), ""}
-		if f, ok := rs.failures[ukey]; ok {
-			f := f
-			u.failure = &f
-			u.skip = true
-			quarantineUnit(st, s.Targets, ui, f)
-			replayed += nt
-			continue
-		}
-		complete := true
-		for ti, t := range s.Targets {
-			ckey := cellKey{u.cfg.Name, u.bench.Name, u.level.String(), t.Name()}
-			c, ok := rs.cells[ckey]
-			if !ok {
-				if u.want[ti] {
-					complete = false
-				}
-				continue
-			}
-			u.replayed[ti] = &c
-			st.Results[ui*nt+ti] = c
-			replayed++
-			if cf, ok := rs.failures[ckey]; ok { // e.g. a stuck cell
-				cf := cf
-				u.cellFailures[ti] = &cf
-			}
-		}
-		if g, ok := rs.goldens[ukey]; ok {
-			u.goldenFromLog = true
-			u.golden = g.Golden
-			st.Goldens[ui] = g.Golden
-			if g.Static != nil {
-				u.static = *g.Static
-				if st.Static != nil {
-					st.Static[ui] = *g.Static
-				}
-			}
-			if complete {
-				u.skip = true
-			}
+// place records o for unit u. An outcome of a prepared unit whose
+// golden record is not yet placed carries it (and the static bound),
+// so the unit's first journaled outcome restores its golden on replay.
+func (p *placer) place(u *prepUnit, o CellOutcome) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if o.UnitFailure == nil && !p.asm.hasGolden(u.idx) {
+		o.Golden = &u.golden
+		if u.prune {
+			o.Static = &u.static
 		}
 	}
-	return replayed
+	_, err := p.asm.Add(o)
+	if err == nil {
+		err = p.jn.appendOutcome(o)
+	}
+	if err != nil && p.err == nil {
+		p.err = err
+		p.cancel()
+	}
 }
 
 // Run executes the study on a shared worker pool of Spec.Parallelism
@@ -434,8 +399,11 @@ func (s Spec) Run() (*Study, error) { return s.RunContext(context.Background()) 
 // subsequent run with the same spec and journal resumes from the last
 // durable record.
 func (s Spec) RunContext(ctx context.Context) (*Study, error) {
-	st, _, err := s.run(ctx, nil)
-	return st, err
+	asm := NewAssembler(s)
+	if err := s.run(ctx, asm, nil); err != nil {
+		return nil, err
+	}
+	return asm.Study()
 }
 
 // selection picks a subset of a spec's campaign cells (keyed with an
@@ -444,33 +412,37 @@ func (s Spec) RunContext(ctx context.Context) (*Study, error) {
 type selection map[cellKey]bool
 
 // run is the engine shared by RunContext (sel nil: the whole study)
-// and RunCells (sel restricts the work to the requested cells' units
-// and targets). The returned Study always has the full canonical
-// layout — unit i owns Goldens[i] and Results[i*nt ... (i+1)*nt) — so
-// a partial run's outcomes land at the exact indices a full run would
-// use; unselected slots are left zero. The returned units expose
-// per-unit failure and replay bookkeeping for outcome extraction.
-func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, error) {
-	st := &Study{Faults: s.Faults}
-	for _, m := range s.Machines {
-		st.MachineNames = append(st.MachineNames, m.Name)
-	}
-	for _, b := range s.Benchmarks {
-		st.BenchNames = append(st.BenchNames, b.Name)
-	}
-	for _, l := range s.Levels {
-		st.LevelNames = append(st.LevelNames, l.String())
-	}
-	for _, t := range s.Targets {
-		st.TargetNames = append(st.TargetNames, t.Name())
+// and RunCells (sel restricts the work to the requested cells). It
+// replays the journal into asm, prepares only the units with a
+// selected cell asm still lacks, and places every outcome in asm.
+func (s Spec) run(ctx context.Context, asm *Assembler, sel selection) error {
+	// runCtx cancels the whole engine: external interruption, the first
+	// failure in abort (non-KeepGoing) mode, or a placement error.
+	runCtx, cancelRun := context.WithCancel(ctx)
+	defer cancelRun()
+
+	rep := &reporter{fn: s.Progress}
+	p := &placer{asm: asm, cancel: cancelRun}
+	if s.Journal != "" {
+		jn, err := openStudyJournal(s.Journal, s.fingerprint(), asm)
+		if err != nil {
+			return err
+		}
+		defer jn.close()
+		p.jn = jn
+		if n := asm.Done(); n > 0 {
+			rep.printf("resume: %d/%d cells replayed from journal %s", n, asm.Total(), s.Journal)
+		}
 	}
 
-	// Enumerate prep units in the serial loop's order; unit i owns
-	// Goldens[i] and Results[i*len(Targets) ... (i+1)*len(Targets)).
-	// A unit none of whose targets are selected is skipped outright.
+	// Enumerate prep units in the serial loop's order; unit i owns flat
+	// cells i*nt ... i*nt+nt-1. Only units with a wanted cell the
+	// Assembler still lacks are prepared.
+	nt := len(s.Targets)
 	sizes := s.resolveSizes()
 	analyses := &analysisCache{}
 	var units []*prepUnit
+	ui := 0
 	for _, cfg := range s.Machines {
 		for bi, bench := range s.Benchmarks {
 			for _, level := range s.Levels {
@@ -478,51 +450,35 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 					cfg: cfg, bench: bench, size: sizes[bi], level: level,
 					prune: s.Prune, retries: s.Retries, analyses: analyses,
 					checkpoints: s.Checkpoints, noFastExit: s.NoFastExit,
-					cache:        s.Cache,
-					backoff:      s.retryBackoff(),
-					jitter:       backoff.NewSource(cellSeed(s.Seed, cfg.Name, bench.Name, level.String(), "retry-jitter")),
-					ready:        make(chan struct{}),
-					want:         make([]bool, len(s.Targets)),
-					replayed:     make([]*campaign.Result, len(s.Targets)),
-					cellFailures: make([]*Failure, len(s.Targets)),
+					cache:   s.Cache,
+					backoff: s.retryBackoff(),
+					jitter:  backoff.NewSource(cellSeed(s.Seed, cfg.Name, bench.Name, level.String(), "retry-jitter")),
+					ready:   make(chan struct{}),
+					idx:     ui,
+					want:    make([]bool, nt),
 				}
+				ui++
 				any := false
 				for ti, t := range s.Targets {
-					u.want[ti] = sel == nil || sel[cellKey{cfg.Name, bench.Name, level.String(), t.Name()}]
+					u.want[ti] = (sel == nil || sel[u.cell(t).cell()]) && asm.pending(u.idx*nt+ti)
 					any = any || u.want[ti]
 				}
-				u.skip = !any
-				units = append(units, u)
+				f := asm.unitFailure(u.idx)
+				switch {
+				case any && f != nil:
+					// Quarantined before the journal was cut short
+					// (or by an earlier lease): the rest of the unit
+					// takes the same placeholder, never a second
+					// preparation that could succeed.
+					for ti, t := range s.Targets {
+						if u.want[ti] {
+							p.place(u, placeholder(u.cell(t), *f))
+						}
+					}
+				case any:
+					units = append(units, u)
+				}
 			}
-		}
-	}
-	if len(units) == 0 {
-		return st, units, nil
-	}
-	nt := len(s.Targets)
-	st.Goldens = make([]Golden, len(units))
-	st.Results = make([]campaign.Result, len(units)*nt)
-	if s.Prune {
-		st.Static = make([]StaticRF, len(units))
-	}
-
-	// runCtx cancels the whole engine: external interruption, the first
-	// failure in abort (non-KeepGoing) mode, or a journal write error.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	rep := &reporter{fn: s.Progress}
-	var jn *studyJournal
-	if s.Journal != "" {
-		var rs *replayState
-		var err error
-		jn, rs, err = openStudyJournal(s.Journal, s.fingerprint(), cancelRun)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer jn.close()
-		if n := s.replayInto(st, units, rs); n > 0 {
-			rep.printf("resume: %d/%d cells replayed from journal %s", n, len(units)*nt, s.Journal)
 		}
 	}
 
@@ -534,8 +490,8 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 	defer pool.Close()
 
 	// cellPanics collects recovered per-cell panics for abort mode, at
-	// deterministic indices so the first one in enumeration order wins.
-	cellPanics := make([]error, len(units)*nt)
+	// flat cell indices so the first one in enumeration order wins.
+	cellPanics := make([]error, asm.Total())
 
 	// Feed the preparation work through the same pool as the
 	// injections: compiles and golden runs for later units overlap with
@@ -545,9 +501,6 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 	// channel is guaranteed to close.
 	go func() {
 		for _, u := range units {
-			if u.skip {
-				continue
-			}
 			u := u
 			pool.Submit(func() { u.run(runCtx) })
 		}
@@ -555,15 +508,12 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 
 	// One lightweight orchestrator per unit waits for its prep, then
 	// fans the unit's cells out onto the pool. Orchestrators and cell
-	// goroutines only wait and aggregate; all heavy work (simulation
-	// runs) happens on pool workers, bounding CPU use at `workers`.
+	// goroutines only wait and place; all heavy work (simulation runs)
+	// happens on pool workers, bounding CPU use at `workers`.
 	var wg sync.WaitGroup
-	for ui, u := range units {
-		if u.skip {
-			continue
-		}
+	for _, u := range units {
 		wg.Add(1)
-		go func(ui int, u *prepUnit) {
+		go func(u *prepUnit) {
 			defer wg.Done()
 			<-u.ready
 			if u.err != nil {
@@ -574,63 +524,37 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 					cancelRun()
 					return
 				}
-				f := Failure{
-					March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(),
-					Stage: u.stage, Err: u.err.Error(), Retries: u.attempts - 1,
+				f := u.quarantine("", u.stage, u.err.Error())
+				f.Retries = u.attempts - 1
+				for ti, t := range s.Targets {
+					if u.want[ti] {
+						p.place(u, placeholder(u.cell(t), f))
+					}
 				}
-				u.failure = &f
-				jn.appendFailure(f)
-				quarantineUnit(st, s.Targets, ui, f)
 				rep.printf("FAILED %-16s %-9s %s: %s (quarantined after %d attempt(s))",
 					u.cfg.Name, u.bench.Name, u.level, u.err, u.attempts)
 				return
-			}
-			st.Goldens[ui] = u.golden
-			if s.Prune {
-				st.Static[ui] = u.static
-			}
-			if !u.goldenFromLog {
-				var static *StaticRF
-				if s.Prune {
-					sc := u.static
-					static = &sc
-				}
-				jn.appendGolden(u.golden, static)
 			}
 			rep.printf("golden %-16s %-9s %s: %d cycles (IPC %.2f)",
 				u.cfg.Name, u.bench.Name, u.level, u.exp.GoldenCycles, u.exp.GoldenStats.Stats.IPC())
 			var cells sync.WaitGroup
 			for ti, target := range s.Targets {
 				if !u.want[ti] {
-					continue // not selected by this run
-				}
-				if u.replayed[ti] != nil {
-					continue // landed in st.Results during replay
+					continue // not selected, or replayed from the journal
 				}
 				cells.Add(1)
 				go func(ti int, target faultinj.Target) {
 					defer cells.Done()
 					defer func() {
-						if p := recover(); p != nil {
+						if r := recover(); r != nil {
 							err := fmt.Errorf("cell %s/%s/%s/%s: panic: %v",
-								u.cfg.Name, u.bench.Name, u.level, target.Name(), p)
+								u.cfg.Name, u.bench.Name, u.level, target.Name(), r)
 							if !s.KeepGoing {
-								cellPanics[ui*nt+ti] = err
+								cellPanics[u.idx*nt+ti] = err
 								cancelRun()
 								return
 							}
-							f := Failure{
-								March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(),
-								Target: target.Name(), Stage: "cell", Err: err.Error(),
-							}
-							u.cellFailures[ti] = &f
-							cell := campaign.Result{
-								March: f.March, Bench: f.Bench, Level: f.Level, Target: f.Target,
-								Skipped: "cell failed: " + err.Error(),
-							}
-							st.Results[ui*nt+ti] = cell
-							jn.appendFailure(f)
-							jn.appendCell(cell)
+							p.place(u, placeholder(u.cell(target), u.quarantine(target.Name(), "cell", err.Error())))
 						}
 					}()
 					// The watchdog: a per-cell deadline layered on the
@@ -657,24 +581,14 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 							return // study-wide cancellation: drop the partial cell
 						}
 						// Watchdog expiry: quarantine the cell as stuck.
-						f := Failure{
-							March: r.March, Bench: r.Bench, Level: r.Level, Target: r.Target,
-							Stage: "cell", Err: "exceeded per-cell wall-clock deadline", Stuck: true,
-						}
-						stuck := campaign.Result{
-							March: r.March, Bench: r.Bench, Level: r.Level, Target: r.Target,
-							Skipped: "stuck: exceeded per-cell wall-clock deadline",
-						}
-						u.cellFailures[ti] = &f
-						st.Results[ui*nt+ti] = stuck
-						jn.appendFailure(f)
-						jn.appendCell(stuck)
+						f := u.quarantine(target.Name(), "cell", "exceeded per-cell wall-clock deadline")
+						f.Stuck = true
+						p.place(u, placeholder(u.cell(target), f))
 						rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
 							r.March, r.Bench, r.Level, r.Target, r.Faults, s.Faults)
 						return
 					}
-					st.Results[ui*nt+ti] = r
-					jn.appendCell(r)
+					p.place(u, CellOutcome{Cell: u.cell(target), Result: r})
 					rep.printf("  %-16s %-9s %-2s %-9s AVF %5.1f%%  (SDC %d, crash %d, timeout %d, assert %d)",
 						r.March, r.Bench, r.Level, r.Target, r.AVF()*100, r.Counts.SDC, r.Counts.Crash,
 						r.Counts.Timeout, r.Counts.Assert)
@@ -685,44 +599,33 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 			// checkpoint snapshots back to the buffer pools so the next
 			// unit's checkpoints reuse them instead of allocating.
 			u.exp.Close()
-		}(ui, u)
+		}(u)
 	}
 	wg.Wait()
 
-	// A journal that stopped persisting invalidates the run's
+	// A run that stopped placing or persisting invalidates its
 	// durability guarantee; surface it over everything else.
-	if err := jn.firstErr(); err != nil {
-		return nil, nil, err
+	if p.err != nil {
+		return p.err
 	}
 	// Abort mode: the first failing unit or cell in enumeration order
 	// determines the returned error, matching the serial loop.
 	if !s.KeepGoing {
-		for ui, u := range units {
+		for _, u := range units {
 			if u.err != nil && !isCancel(u.err) {
-				return nil, nil, u.err
+				return u.err
 			}
 			for ti := 0; ti < nt; ti++ {
-				if err := cellPanics[ui*nt+ti]; err != nil {
-					return nil, nil, err
+				if err := cellPanics[u.idx*nt+ti]; err != nil {
+					return err
 				}
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("study interrupted (completed cells are journaled; rerun with the same spec and journal to resume): %w", err)
+		return fmt.Errorf("study interrupted (completed cells are journaled; rerun with the same spec and journal to resume): %w", err)
 	}
-	// Assemble quarantine records in deterministic unit order.
-	for _, u := range units {
-		if u.failure != nil {
-			st.Failed = append(st.Failed, *u.failure)
-		}
-		for _, cf := range u.cellFailures {
-			if cf != nil {
-				st.Failed = append(st.Failed, *cf)
-			}
-		}
-	}
-	return st, units, nil
+	return nil
 }
 
 // retryBackoff resolves the preparation-retry pacing policy:

@@ -113,12 +113,9 @@ type studyRun struct {
 	subs   map[chan StatusEvent]struct{}
 
 	// cacheByWorker accumulates the prep-artifact cache deltas each
-	// worker reported with its completions, and prunedDUEByWorker the
-	// crash-certain injections each worker's static pruner classified
-	// without simulating — observability only, never part of the merged
-	// study.
-	cacheByWorker     map[string]artcache.Stats
-	prunedDUEByWorker map[string]int
+	// worker reported with its completions — observability only, never
+	// part of the merged study.
+	cacheByWorker map[string]artcache.Stats
 }
 
 func (r *studyRun) state() string {
@@ -218,14 +215,13 @@ func (c *Coordinator) newRun(id string, wire StudySpec) (*studyRun, error) {
 		return nil, err
 	}
 	return &studyRun{
-		id:                id,
-		wire:              wire,
-		spec:              spec,
-		asm:               core.NewAssembler(spec),
-		table:             newLeaseTable(spec.Cells(), c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
-		subs:              map[chan StatusEvent]struct{}{},
-		cacheByWorker:     map[string]artcache.Stats{},
-		prunedDUEByWorker: map[string]int{},
+		id:            id,
+		wire:          wire,
+		spec:          spec,
+		asm:           core.NewAssembler(spec),
+		table:         newLeaseTable(spec.Cells(), c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
+		subs:          map[chan StatusEvent]struct{}{},
+		cacheByWorker: map[string]artcache.Stats{},
 	}, nil
 }
 
@@ -323,17 +319,26 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{Known: r.table.heartbeat(leaseID, now)}
 }
 
-// Complete merges a lease's outcomes. Every accepted outcome is
-// journaled before it is acknowledged; duplicates (the cell already
-// completed under another lease) are counted and discarded. Accepting
-// outcomes from expired or unknown leases is deliberate: the compute
-// is done, and the merge is idempotent.
+// Complete merges a lease's outcomes. The whole report is validated
+// before any side effect, so an outcome the Assembler would refuse
+// (another cell's records, a cell not in the study) fails the request
+// and leaves every cell of it leasable. Every accepted outcome is
+// journaled before its cell is marked done and acknowledged;
+// duplicates (the cell already completed under another lease) are
+// counted and discarded. Accepting outcomes from expired or unknown
+// leases is deliberate: the compute is done, and the merge is
+// idempotent.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.studies[req.StudyID]
 	if !ok {
 		return CompleteResponse{}, fmt.Errorf("dispatch: unknown study %s", req.StudyID)
+	}
+	for _, o := range req.Outcomes {
+		if err := r.asm.Check(o); err != nil {
+			return CompleteResponse{}, fmt.Errorf("dispatch: study %s: %w", req.StudyID, err)
+		}
 	}
 	if !req.Cache.Empty() && req.Worker != "" {
 		s := r.cacheByWorker[req.Worker]
@@ -343,18 +348,16 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	var resp CompleteResponse
 	for _, o := range req.Outcomes {
 		key := o.Cell.Key()
-		if _, ok := r.table.slot(key); !ok {
-			return resp, fmt.Errorf("dispatch: cell %s is not in study %s", key, req.StudyID)
-		}
-		if !r.table.complete(req.Worker, key) {
+		if s, _ := r.table.slot(key); s.state == cellDone {
 			resp.Duplicates++
 			continue
 		}
 		if err := c.jw.Append(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
-			// The cell is marked done in soft state but not durable;
-			// fail the request so the worker retries the report.
+			// Nothing is marked done yet, so the worker's retried
+			// report merges the cell.
 			return resp, fmt.Errorf("dispatch: journal outcome: %w", err)
 		}
+		r.table.complete(req.Worker, key)
 		accepted, err := r.asm.Add(o)
 		if err != nil {
 			return resp, err
@@ -364,9 +367,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			continue
 		}
 		resp.Accepted++
-		if n := o.Result.Counts.PrunedDUE; n > 0 && req.Worker != "" {
-			r.prunedDUEByWorker[req.Worker] += n
-		}
 		c.notify(r, key, req.Worker)
 	}
 	c.finalize(r)
@@ -498,13 +498,6 @@ func (c *Coordinator) status(r *studyRun) StatusEvent {
 		for name, s := range r.cacheByWorker { //lint:ordered commutative sum into a copied map
 			ev.Cache.Add(s)
 			ev.CacheByWorker[name] = s
-		}
-	}
-	if len(r.prunedDUEByWorker) > 0 {
-		ev.PrunedDUEByWorker = make(map[string]int, len(r.prunedDUEByWorker))
-		for name, n := range r.prunedDUEByWorker { //lint:ordered commutative sum into a copied map
-			ev.PrunedDUE += n
-			ev.PrunedDUEByWorker[name] = n
 		}
 	}
 	return ev

@@ -54,13 +54,6 @@ type StudySpec struct {
 	// byte-identically to a local keep-going run's.
 	KeepGoing bool
 	Retries   int
-
-	// CacheMaxMB advises workers how much disk their prep-artifact
-	// cache may use for this study (0: no advice). It is pure execution
-	// policy — a cache hit decodes to state bit-identical to a fresh
-	// prep — so ID() excludes it: the same study submitted with a
-	// different cache bound is the same study.
-	CacheMaxMB int64 `json:",omitempty"`
 }
 
 // Normalize fills defaults (benchmark sizes, the full target set) and
@@ -101,9 +94,6 @@ func (w StudySpec) Normalize() (StudySpec, error) {
 // ID derives the study's content-addressed identity from the
 // normalized spec, so resubmitting the same study is idempotent.
 func (w StudySpec) ID() string {
-	// Cache policy shapes worker disk use, never results; zeroing it on
-	// this value-receiver copy keeps it out of the identity.
-	w.CacheMaxMB = 0
 	data, err := json.Marshal(w)
 	if err != nil {
 		// Marshalling a struct of strings and ints cannot fail.
@@ -300,11 +290,4 @@ type StatusEvent struct {
 	// uncached.
 	Cache         artcache.Stats
 	CacheByWorker map[string]artcache.Stats `json:",omitempty"`
-
-	// PrunedDUE counts injections this study's completions proved
-	// crash-certain statically instead of simulating (the DUE pruner
-	// tier); PrunedDUEByWorker splits the same counter by worker name.
-	// Both stay zero/absent when no worker pruned a DUE.
-	PrunedDUE         int            `json:",omitempty"`
-	PrunedDUEByWorker map[string]int `json:",omitempty"`
 }

@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sevsim/internal/core"
+	"sevsim/internal/journal"
 )
 
 // testWire is a fast one-machine study: 12 cells across two prep
@@ -79,11 +82,6 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	}
 	if ne.ID() == n1.ID() {
 		t.Fatal("different sizes hash to the same study")
-	}
-	policy := n1
-	policy.CacheMaxMB = 512
-	if policy.ID() != n1.ID() {
-		t.Fatal("cache policy changed the study ID; it is execution advice, not identity")
 	}
 	bad := wire
 	bad.Benches = []string{"no-such-bench"}
@@ -569,4 +567,144 @@ func TestDistributedSharedWarmCache(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestMislabeledCompleteRefused: a report whose last outcome carries
+// another cell's result is refused whole, before any cell is marked
+// done or journaled. The lease's cells stay owed, a restarted
+// coordinator still opens on the journal, and the correct report then
+// finishes the study with the single-process bytes.
+func TestMislabeledCompleteRefused(t *testing.T) {
+	wire := testWire()
+	want := localBytes(t, wire)
+	opt := Options{Dir: t.TempDir(), LeaseTTL: time.Minute, LeaseCells: 12, Logf: t.Logf}
+	coord, err := OpenCoordinator(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := coord.studies[sub.ID].wire.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := coord.Lease(LeaseRequest{Worker: "w"})
+	if err != nil || g == nil {
+		t.Fatalf("lease: %v %v", g, err)
+	}
+	out, err := spec.RunCells(context.Background(), g.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := slices.Clone(out)
+	bad[len(bad)-1].Result = out[0].Result
+	if _, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: bad}); err == nil {
+		t.Fatal("mislabeled outcome accepted")
+	}
+	if ev, _ := coord.Status(sub.ID); ev.Done != 0 {
+		t.Fatalf("refused report still completed %d cells", ev.Done)
+	}
+	coord.Close()
+
+	coord, err = OpenCoordinator(opt)
+	if err != nil {
+		t.Fatalf("coordinator does not reopen after a refused report: %v", err)
+	}
+	defer coord.Close()
+	g, err = coord.Lease(LeaseRequest{Worker: "w"})
+	if err != nil || g == nil || len(g.Cells) != len(out) {
+		t.Fatalf("cells not leasable after the refused report: %v %v", g, err)
+	}
+	resp, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out})
+	if err != nil || resp.Accepted != len(out) {
+		t.Fatalf("correct report: %+v %v", resp, err)
+	}
+	got, ok := coord.Result(sub.ID)
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatal("study after the refused report differs from single-process run")
+	}
+}
+
+// TestWorkerDiscardsOlderJournal: a worker whose workdir holds a study
+// journal in the record format before outcome records discards it and
+// computes the lease afresh, instead of failing healthy cells into
+// quarantine (one failed attempt would quarantine here).
+func TestWorkerDiscardsOlderJournal(t *testing.T) {
+	wire, err := testWire().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localBytes(t, wire)
+	spec, err := wire.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Seed the workdir: the meta record of a real journal for this
+	// study, followed by a record of the older format.
+	workdir := t.TempDir()
+	path := filepath.Join(workdir, wire.ID()+".journal")
+	spec.Journal = filepath.Join(t.TempDir(), "fresh.journal")
+	if _, err := spec.RunCells(context.Background(), spec.Cells()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.Scan(spec.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw, _, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := spec.Cells()[0]
+	older := map[string]core.Golden{"Golden": {March: c.March, Bench: c.Bench, Level: c.Level, Cycles: 1}}
+	if err := jw.Append(recs[0].Kind, recs[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Append("golden", older); err != nil {
+		t.Fatal(err)
+	}
+	jw.Close()
+
+	coord, err := OpenCoordinator(Options{
+		Dir: t.TempDir(), LeaseTTL: time.Minute, LeaseCells: 12, MaxAttempts: 1, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(NewServer(coord, "unused").Handler)
+	defer ts.Close()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{Coordinator: ts.URL, Name: "w", Workdir: workdir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	for {
+		if _, ok := coord.Result(sub.ID); ok || ctx.Err() != nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cancel()
+	<-done
+	got, ok := coord.Result(sub.ID)
+	if !ok {
+		t.Fatal("study did not complete")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("result differs from single-process run (cells quarantined over the older journal?)")
+	}
 }

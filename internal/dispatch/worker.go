@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"sevsim/internal/artcache"
+	"sevsim/internal/core"
 	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/journal"
 )
@@ -46,8 +48,7 @@ type WorkerOptions struct {
 	// byte-identical either way.
 	CacheDir string
 
-	// CacheMaxMB bounds the cache size (0: adopt the per-study advice
-	// in StudySpec.CacheMaxMB, or stay unbounded).
+	// CacheMaxMB bounds the cache size (0: unbounded).
 	CacheMaxMB int64
 
 	// Logf receives operational log lines (default: discard).
@@ -155,12 +156,6 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 	}
 	var cacheBefore artcache.Stats
 	if w.cache != nil {
-		// The study may advise a disk bound; the worker's own flag wins
-		// when set (the operator knows the machine better than the
-		// submitter does).
-		if g.Spec.CacheMaxMB > 0 && w.opt.CacheMaxMB <= 0 {
-			w.cache.LimitBytes(g.Spec.CacheMaxMB << 20)
-		}
 		spec.Cache = w.cache
 		cacheBefore = w.cache.Stats()
 	}
@@ -174,6 +169,16 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 	}()
 
 	outcomes, err := spec.RunCells(leaseCtx, g.Cells)
+	if errors.Is(err, core.ErrJournalUnusable) {
+		// The local journal is only a replay cache — the coordinator
+		// holds the durable results — so one this worker cannot resume
+		// (an older format, another spec) is discarded and the lease
+		// run afresh, instead of failing healthy cells into quarantine.
+		w.opt.Logf("lease %s: discarding local journal: %v", g.LeaseID, err)
+		if err = w.RemoveStudyJournal(g.StudyID); err == nil {
+			outcomes, err = spec.RunCells(leaseCtx, g.Cells)
+		}
+	}
 	cancel()
 	<-hbDone
 	if err != nil {
@@ -334,9 +339,10 @@ func (w *Worker) Cache() *artcache.Cache {
 	return w.cache
 }
 
-// RemoveStudyJournal deletes the worker's local journal for a study,
-// once the coordinator has the results durably. Safe to skip — stale
-// journals only cost disk — but long-lived workers should clean up.
+// RemoveStudyJournal deletes the worker's local journal for a study.
+// A lease calls it for a journal the worker cannot resume; a
+// long-lived worker may also call it once the coordinator holds the
+// study's results durably, since finished journals only cost disk.
 func (w *Worker) RemoveStudyJournal(studyID string) error {
 	return journal.Remove(filepath.Join(w.opt.Workdir, studyID+".journal"))
 }
